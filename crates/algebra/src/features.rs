@@ -292,65 +292,11 @@ impl QueryFeatures {
         }
     }
 
-    /// Builds the features from a completed [`QueryWalk`](crate::walk::QueryWalk),
-    /// touching only the query-level clauses (projection, HAVING, ORDER BY,
-    /// GROUP BY) — the body itself is not traversed again.
-    pub fn from_walk(q: &Query, walk: &crate::walk::QueryWalk<'_>) -> QueryFeatures {
-        let ops = &walk.ops;
-        let mut aggregates = walk.aggregates;
-        if let Projection::Items(items) = &q.projection {
-            for item in items {
-                if let Some(e) = &item.expr {
-                    aggregates.scan(e);
-                }
-            }
-        }
-        for h in &q.modifiers.having {
-            aggregates.scan(h);
-        }
-        for o in &q.modifiers.order_by {
-            aggregates.scan(&o.expr);
-        }
-        for g in &q.modifiers.group_by {
-            aggregates.scan(&g.expr);
-        }
-
-        QueryFeatures {
-            form: q.form,
-            has_body: q.has_body(),
-            triple_patterns: ops.triples,
-            path_patterns: ops.paths,
-            var_predicates: ops.var_predicates,
-            uses_distinct: q.modifiers.distinct,
-            uses_reduced: q.modifiers.reduced,
-            uses_limit: q.modifiers.limit.is_some(),
-            uses_offset: q.modifiers.offset.is_some(),
-            uses_order_by: !q.modifiers.order_by.is_empty(),
-            uses_group_by: !q.modifiers.group_by.is_empty(),
-            uses_having: !q.modifiers.having.is_empty(),
-            uses_filter: ops.filters > 0,
-            uses_and: ops.uses_and(),
-            uses_union: ops.unions > 0,
-            uses_optional: ops.optionals > 0,
-            uses_graph: ops.graphs > 0,
-            uses_minus: ops.minuses > 0,
-            uses_not_exists: ops.not_exists > 0,
-            uses_exists: ops.exists > 0,
-            uses_bind: ops.binds > 0,
-            uses_values: ops.values_blocks > 0 || q.values.is_some(),
-            uses_service: ops.services > 0,
-            uses_subquery: ops.subqueries > 0,
-            uses_property_path: ops.paths > 0,
-            uses_aggregate: aggregates.any(),
-            aggregates,
-            ops: BodyOpsSummary::from(ops),
-        }
-    }
-
-    /// [`from_walk`](Self::from_walk) over the borrowed AST: builds the
-    /// features from a completed [`QueryWalkRef`](crate::walk::QueryWalkRef)
-    /// and the borrowed query's top-level clauses. Field-identical to
-    /// `from_walk(&q.to_owned(), …)`.
+    /// Builds the features from a completed
+    /// [`QueryWalkRef`](crate::walk::QueryWalkRef), touching only the
+    /// borrowed query's top-level clauses (projection, HAVING, ORDER BY,
+    /// GROUP BY) — the body itself is not traversed again. Field-identical
+    /// to [`QueryFeatures::of`] on `q.to_owned()`.
     pub fn from_walk_ref(
         q: &sparqlog_parser::ast_ref::Query<'_>,
         walk: &crate::walk::QueryWalkRef<'_>,

@@ -107,46 +107,12 @@ pub fn classify_fragments(q: &Query) -> FragmentReport {
     report
 }
 
-/// Classifies a query into the fragment hierarchy from a completed
-/// [`QueryWalk`](crate::walk::QueryWalk): the operator counters and the
-/// pattern tree both come from the walk, so no part of the query is
+/// Classifies a borrowed query into the fragment hierarchy from a completed
+/// [`QueryWalkRef`](crate::walk::QueryWalkRef): the operator counters and
+/// the pattern tree both come from the walk, so no part of the query is
 /// traversed again (the well-designedness and interface-width checks run on
-/// the already-built tree).
-pub fn classify_fragments_from_walk(
-    q: &Query,
-    walk: &crate::walk::QueryWalk<'_>,
-) -> FragmentReport {
-    let ops = &walk.ops;
-    let mut report = FragmentReport {
-        select_or_ask: matches!(q.form, QueryForm::Select | QueryForm::Ask),
-        ..FragmentReport::default()
-    };
-    report.triples = ops.triples;
-    report.has_var_predicate = ops.var_predicates > 0;
-    if !ops.is_aof() || !q.has_body() {
-        return report;
-    }
-    report.aof = true;
-    report.cq = ops.filters == 0 && ops.optionals == 0;
-    report.cpf = ops.optionals == 0;
-
-    let Some(tree) = &walk.tree else {
-        // Defensive: the walk's tree and AOF membership must agree.
-        report.aof = false;
-        return report;
-    };
-    let filters_simple = tree.all_filters().iter().all(|f| is_simple_filter(f));
-    report.cqf = report.cpf && filters_simple;
-    let (well_designed, width) = tree.well_designedness();
-    report.well_designed = well_designed;
-    report.cqof = report.well_designed && filters_simple && width <= 1;
-    report.wide_interface = report.well_designed && filters_simple && width > 1;
-    report
-}
-
-/// [`classify_fragments_from_walk`] over the borrowed AST and a completed
-/// [`QueryWalkRef`](crate::walk::QueryWalkRef). The walk's tree is owned, so
-/// the well-designedness and filter checks are shared with the owned path.
+/// the already-built, owned tree). Result-identical to
+/// [`classify_fragments`] on `q.to_owned()`.
 pub fn classify_fragments_from_walk_ref(
     q: &sparqlog_parser::ast_ref::Query<'_>,
     walk: &crate::walk::QueryWalkRef<'_>,

@@ -27,15 +27,14 @@ pub mod walk;
 
 pub use features::{AggregateUse, QueryFeatures};
 pub use fragments::{
-    classify_fragments, classify_fragments_from_walk, classify_fragments_from_walk_ref,
-    CqLikeClass, FragmentReport, FragmentTally,
+    classify_fragments, classify_fragments_from_walk_ref, CqLikeClass, FragmentReport,
+    FragmentTally,
 };
 pub use keywords::KeywordTally;
 pub use opsets::{classify_opset, OpSetClass, OpSetTally, OperatorSet};
 pub use pattern_tree::{PatternNode, PatternTree};
 pub use projection::{
-    projection_use, projection_use_from_walk, projection_use_from_walk_ref, ProjectionTally,
-    ProjectionUse,
+    projection_use, projection_use_from_walk_ref, ProjectionTally, ProjectionUse,
 };
 pub use triples::TripleHistogram;
-pub use walk::{collect_property_paths, collect_triple_patterns, BodyOps, QueryWalk, QueryWalkRef};
+pub use walk::{collect_property_paths, collect_triple_patterns, BodyOps, QueryWalkRef};

@@ -70,61 +70,13 @@ pub fn projection_use(q: &Query) -> ProjectionUse {
     }
 }
 
-/// Determines whether a query uses projection from a completed
-/// [`QueryWalk`](crate::walk::QueryWalk), without re-traversing the body.
+/// Determines whether a borrowed query uses projection from a completed
+/// [`QueryWalkRef`](crate::walk::QueryWalkRef), without re-traversing the
+/// body. Result-identical to [`projection_use`] on `q.to_owned()`.
 ///
 /// `interner` must be the same interner the walk ran with: the selected
 /// variables are interned into it, turning the strict-subset test into a
 /// symbol (integer) membership check against the walk's visibility set.
-pub fn projection_use_from_walk(
-    q: &Query,
-    walk: &crate::walk::QueryWalk<'_>,
-    interner: &mut sparqlog_parser::intern::Interner,
-) -> ProjectionUse {
-    match q.form {
-        QueryForm::Construct | QueryForm::Describe => ProjectionUse::NotApplicable,
-        QueryForm::Ask => {
-            if walk.has_bind {
-                ProjectionUse::Unknown
-            } else if walk.body_has_var {
-                ProjectionUse::Yes
-            } else {
-                ProjectionUse::No
-            }
-        }
-        QueryForm::Select => match &q.projection {
-            Projection::All => ProjectionUse::No,
-            Projection::Items(items) => {
-                if walk.has_bind || items.iter().any(|i| i.expr.is_some()) {
-                    return ProjectionUse::Unknown;
-                }
-                let selected: BTreeSet<sparqlog_parser::intern::Symbol> =
-                    items.iter().map(|i| interner.intern(&i.var)).collect();
-                let query_values = q
-                    .values
-                    .iter()
-                    .flat_map(|v| v.variables.iter())
-                    .map(|v| interner.intern(v));
-                if walk
-                    .visible_vars
-                    .iter()
-                    .copied()
-                    .chain(query_values)
-                    .any(|v| !selected.contains(&v))
-                {
-                    ProjectionUse::Yes
-                } else {
-                    ProjectionUse::No
-                }
-            }
-            Projection::Terms(_) | Projection::None => ProjectionUse::No,
-        },
-    }
-}
-
-/// [`projection_use_from_walk`] over the borrowed AST and a completed
-/// [`QueryWalkRef`](crate::walk::QueryWalkRef). Result-identical to running
-/// the owned test on `q.to_owned()`.
 pub fn projection_use_from_walk_ref(
     q: &sparqlog_parser::ast_ref::Query<'_>,
     walk: &crate::walk::QueryWalkRef<'_>,
@@ -305,7 +257,7 @@ impl ProjectionTally {
 
     /// Records one already-classified query (the single-pass pipeline path:
     /// the form, projection use and subquery flag all come from one
-    /// [`QueryWalk`](crate::walk::QueryWalk)).
+    /// [`QueryWalkRef`](crate::walk::QueryWalkRef)).
     pub fn record(&mut self, form: QueryForm, use_: ProjectionUse, has_subqueries: bool) {
         self.total += 1;
         if has_subqueries {

@@ -2,8 +2,8 @@
 //! corpus analysis throughput.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use sparqlog_core::analysis::{CorpusAnalysis, Population};
-use sparqlog_core::corpus::{ingest, RawLog};
+use sparqlog_core::analysis::Population;
+use sparqlog_core::corpus::{analyze_streams, LogReader, MemoryLogReader};
 use sparqlog_synth::{Dataset, Synthesizer};
 
 fn bench_synth(c: &mut Criterion) {
@@ -20,8 +20,11 @@ fn bench_synth(c: &mut Criterion) {
     let entries = synth.generate_log(500);
     group.bench_function("ingest_and_analyze_500_entries", |b| {
         b.iter(|| {
-            let log = ingest(&RawLog::new("DBpedia15", black_box(entries.clone())));
-            CorpusAnalysis::analyze(&[log], Population::Unique)
+            let readers: Vec<Box<dyn LogReader>> = vec![Box::new(MemoryLogReader::new(
+                "DBpedia15",
+                black_box(entries.clone()),
+            ))];
+            analyze_streams(readers, Population::Unique).expect("in-memory streams cannot fail")
         })
     });
     group.finish();

@@ -6,9 +6,8 @@
 //! tracks cumulative bytes allocated, the current live-byte footprint and
 //! its high-water mark. `ablation_fused` uses the deltas around each
 //! pipeline run to put a measured number on the memory-bound claim: the
-//! staged pipeline's peak grows with the corpus (every AST resident at the
-//! phase barrier), the fused engine's with in-flight batches + distinct
-//! analyses only.
+//! oracle's peak grows with the corpus (every owned AST resident), the
+//! fused engine's with in-flight batches + distinct analyses only.
 //!
 //! With the feature disabled (the default) this module compiles to stubs —
 //! [`snapshot`] returns `None` and no allocator is installed, so the rest

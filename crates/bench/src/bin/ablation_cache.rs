@@ -1,5 +1,5 @@
 //! Ablation: the fingerprint-keyed analysis cache (+ interned-term
-//! allocation diet) against the uncached analysis path, on a duplicate-heavy
+//! allocation diet) against the uncached oracle, on a duplicate-heavy
 //! synthetic corpus.
 //!
 //! The corpus is the standard synthetic one with every log tiled several
@@ -7,18 +7,25 @@
 //! the duplication regime the source paper reports for real logs, where the
 //! "all" population re-analyses the same canonical forms over and over.
 //!
+//! Both contenders run end to end from the same raw logs: the **oracle**
+//! (`ingest` then the seed multi-walk `analyze_multiwalk`) analyses every
+//! occurrence from scratch; the **fused engine** analyses each canonical
+//! form once and folds it occurrence-weighted.
+//!
 //! The binary doubles as a CI differential gate: it renders the **full
-//! corpus report** through the cached and the uncached engine on both
+//! corpus report** through the fused engine and the oracle on both
 //! populations and **exits non-zero if any byte differs**. The acceptance
-//! target is a >= 1.5x end-to-end analysis speedup on the Valid population
-//! plus a nonzero interner savings counter; both are printed for the
-//! workflow artifact.
+//! target is a >= 1.5x end-to-end speedup on the Valid population plus a
+//! nonzero interner savings counter; both are printed for the workflow
+//! artifact.
 
 use sparqlog_bench::gate::DivergenceGate;
-use sparqlog_bench::{banner, raw_corpus, stats_banner, HarnessOptions};
-use sparqlog_core::analysis::{CachePolicy, CorpusAnalysis, EngineOptions, Population};
+use sparqlog_bench::{banner, oracle_corpus, raw_corpus, stats_banner, HarnessOptions};
+use sparqlog_core::analysis::Population;
 use sparqlog_core::cache::AnalysisCache;
-use sparqlog_core::corpus::{ingest_all, RawLog};
+use sparqlog_core::corpus::{
+    analyze_streams_cached, FusedAnalysis, FusedOptions, LogReader, RawLog, SliceLogReader,
+};
 use sparqlog_core::report::full_report;
 use std::time::Instant;
 
@@ -26,6 +33,9 @@ use std::time::Instant;
 /// this many times, so the mean occurrence rate is at least `TILE` (the
 /// synthesizer's own duplicates push it higher).
 const TILE: usize = 4;
+
+/// The measured runs per contender; the minimum wall-clock wins.
+const REPEATS: usize = 3;
 
 fn duplicate_heavy(raw: Vec<RawLog>) -> Vec<RawLog> {
     raw.into_iter()
@@ -39,14 +49,43 @@ fn duplicate_heavy(raw: Vec<RawLog>) -> Vec<RawLog> {
         .collect()
 }
 
+/// One fused run over borrowed raw logs against `cache`.
+fn run_fused(raw: &[RawLog], population: Population, cache: &AnalysisCache) -> FusedAnalysis {
+    let readers: Vec<Box<dyn LogReader + '_>> = raw
+        .iter()
+        .map(|log| Box::new(SliceLogReader::of(log)) as Box<dyn LogReader + '_>)
+        .collect();
+    analyze_streams_cached(readers, population, FusedOptions::default(), cache)
+        .expect("in-memory streams cannot fail")
+}
+
+/// Times `run` over [`REPEATS`] runs; returns the last result and the
+/// minimum wall-clock.
+fn measure<T>(mut run: impl FnMut() -> T) -> (T, f64) {
+    let mut best = f64::INFINITY;
+    let mut result = None;
+    for _ in 0..REPEATS {
+        let start = Instant::now();
+        result = Some(run());
+        best = best.min(start.elapsed().as_secs_f64());
+    }
+    (result.expect("at least one repeat"), best)
+}
+
 fn main() {
     let opts = HarnessOptions::from_args();
     banner("ablation: fingerprint-keyed analysis cache", &opts);
     let raw = duplicate_heavy(raw_corpus(&opts));
-    let logs = ingest_all(&raw);
-    let (valid, unique): (u64, u64) = logs.iter().fold((0, 0), |(v, u), l| {
-        (v + l.counts.valid, u + l.counts.unique)
-    });
+
+    // -- End-to-end analysis of the Valid ("all") population. ---------------
+    let (oracle_valid, oracle_time) = measure(|| oracle_corpus(&raw, Population::Valid));
+    // A fresh cache per repeat: the measured run is a cold corpus run, not a
+    // warm-cache rerun.
+    let (fused_valid, fused_time) =
+        measure(|| run_fused(&raw, Population::Valid, &AnalysisCache::new()));
+
+    let counts = &fused_valid.corpus.combined.counts;
+    let (valid, unique) = (counts.valid, counts.unique);
     let occurrence_rate = valid as f64 / unique.max(1) as f64;
     println!(
         "corpus: {} valid queries, {} distinct canonical forms, mean occurrence rate {:.2}x \
@@ -60,78 +99,35 @@ fn main() {
             "MISS"
         }
     );
-
-    // -- End-to-end analysis of the Valid ("all") population. ---------------
-    let repeats = 5;
-    let uncached_options = EngineOptions {
-        recovery: Default::default(),
-        cache: CachePolicy::Disabled,
-        ..EngineOptions::default()
-    };
-    let mut uncached_time = f64::INFINITY;
-    let mut uncached = None;
-    for _ in 0..repeats {
-        let t = Instant::now();
-        let (analysis, stats) =
-            CorpusAnalysis::analyze_stats(&logs, Population::Valid, uncached_options);
-        uncached_time = uncached_time.min(t.elapsed().as_secs_f64());
-        uncached = Some((analysis, stats));
-    }
-    let (uncached_valid, uncached_stats) = uncached.expect("at least one repeat");
-
-    let mut cached_time = f64::INFINITY;
-    let mut cached = None;
-    for _ in 0..repeats {
-        // A fresh cache per repeat: the measured run is a cold corpus run,
-        // not a warm-cache rerun.
-        let cache = AnalysisCache::new();
-        let t = Instant::now();
-        let (analysis, stats) = CorpusAnalysis::analyze_cached(
-            &logs,
-            Population::Valid,
-            EngineOptions::default(),
-            &cache,
-        );
-        cached_time = cached_time.min(t.elapsed().as_secs_f64());
-        cached = Some((analysis, stats));
-    }
-    let (cached_valid, cached_stats) = cached.expect("at least one repeat");
-
-    let speedup = uncached_time / cached_time;
+    let speedup = oracle_time / fused_time;
     println!(
-        "{:<44} {:>10} {:>14}",
-        "end-to-end analysis (Valid population)", "time", "queries/s"
+        "{:<52} {:>10} {:>14}",
+        "end-to-end ingest+analyze (Valid population)", "time", "queries/s"
     );
     println!(
-        "{:<44} {:>8.2}ms {:>14.0}",
-        "uncached (QueryAnalysis per occurrence)",
-        uncached_time * 1e3,
-        valid as f64 / uncached_time
+        "{:<52} {:>8.2}ms {:>14.0}",
+        "oracle (multi-walk analysis per occurrence)",
+        oracle_time * 1e3,
+        valid as f64 / oracle_time
     );
     println!(
-        "{:<44} {:>8.2}ms {:>14.0}",
-        "cached (memoized per canonical form)",
-        cached_time * 1e3,
-        valid as f64 / cached_time
+        "{:<52} {:>8.2}ms {:>14.0}",
+        "fused (memoized per canonical form)",
+        fused_time * 1e3,
+        valid as f64 / fused_time
     );
     println!(
-        "analysis speedup: {:.2}x (target >= 1.5x: {})\n",
+        "speedup: {:.2}x (target >= 1.5x: {})\n",
         speedup,
         if speedup >= 1.5 { "PASS" } else { "MISS" }
     );
-    println!("{}\n", stats_banner(&cached_stats));
+    println!("{}\n", stats_banner(&fused_valid.stats));
 
     // -- Population switch: a shared cache serves the Unique rerun. ---------
     let shared = AnalysisCache::new();
-    let (valid_run, _) =
-        CorpusAnalysis::analyze_cached(&logs, Population::Valid, EngineOptions::default(), &shared);
+    let valid_run = run_fused(&raw, Population::Valid, &shared);
     let before_switch = shared.stats();
-    let (unique_run, _) = CorpusAnalysis::analyze_cached(
-        &logs,
-        Population::Unique,
-        EngineOptions::default(),
-        &shared,
-    );
+    let unique_run = run_fused(&raw, Population::Unique, &shared);
     let after_switch = shared.stats();
     println!(
         "population switch (Valid -> Unique on one cache): {} further analyses, {} reused \
@@ -143,26 +139,25 @@ fn main() {
 
     // -- Differential gate: full reports must be byte-identical. ------------
     let mut gate = DivergenceGate::new();
-    let (uncached_unique, _) =
-        CorpusAnalysis::analyze_stats(&logs, Population::Unique, uncached_options);
-    for (population, cached_analysis, uncached_analysis) in [
-        (Population::Valid, &cached_valid, &uncached_valid),
-        (Population::Valid, &valid_run, &uncached_valid),
-        (Population::Unique, &unique_run, &uncached_unique),
+    let oracle_unique = oracle_corpus(&raw, Population::Unique);
+    for (population, fused, oracle) in [
+        (Population::Valid, &fused_valid, &oracle_valid),
+        (Population::Valid, &valid_run, &oracle_valid),
+        (Population::Unique, &unique_run, &oracle_unique),
     ] {
         gate.compare(
             &format!("corpus report differs on {population:?}"),
-            &full_report(uncached_analysis),
-            &full_report(cached_analysis),
+            &full_report(oracle),
+            &full_report(&fused.corpus),
         );
     }
     gate.require(
-        cached_stats.cache.map_or(0, |c| c.hits) > 0,
+        fused_valid.stats.cache.map_or(0, |c| c.hits) > 0,
         "cache reported zero hits on a duplicate-heavy corpus",
     );
     gate.require(
-        cached_stats.interner.bytes_saved > 0 && uncached_stats.interner.bytes_saved > 0,
+        fused_valid.stats.interner.bytes_saved > 0,
         "interner reported zero savings",
     );
-    gate.finish("cached and uncached corpus reports are byte-identical on both populations");
+    gate.finish("fused (cached) and oracle corpus reports are byte-identical on both populations");
 }

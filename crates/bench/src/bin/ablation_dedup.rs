@@ -8,8 +8,10 @@
 //! populations side by side so the effect of duplicate elimination can be
 //! inspected directly on any corpus.
 
-use sparqlog_bench::{banner, build_corpus, HarnessOptions};
-use sparqlog_core::analysis::{CorpusAnalysis, Population};
+use sparqlog_bench::{banner, corpus_readers, raw_corpus, HarnessOptions};
+use sparqlog_core::analysis::Population;
+use sparqlog_core::cache::AnalysisCache;
+use sparqlog_core::corpus::{analyze_streams_cached, FusedOptions};
 
 fn main() {
     let opts = HarnessOptions::from_args();
@@ -17,9 +19,21 @@ fn main() {
         "Ablation — Unique vs Valid (with duplicates) population",
         &opts,
     );
-    let logs = build_corpus(&opts);
-    let unique = CorpusAnalysis::analyze(&logs, Population::Unique);
-    let valid = CorpusAnalysis::analyze(&logs, Population::Valid);
+    // One cache across the population switch: the second run re-streams the
+    // corpus but analyses nothing new.
+    let cache = AnalysisCache::new();
+    let run = |population| {
+        analyze_streams_cached(
+            corpus_readers(raw_corpus(&opts)),
+            population,
+            FusedOptions::default(),
+            &cache,
+        )
+        .expect("in-memory streams cannot fail")
+        .corpus
+    };
+    let unique = run(Population::Unique);
+    let valid = run(Population::Valid);
 
     println!(
         "{:<14} {:>14} {:>9} {:>14} {:>9}",

@@ -1,34 +1,31 @@
-//! Ablation: the fused ingest→analyze streaming engine against the staged
-//! ingest-then-analyze pipeline, on a duplicate-heavy synthetic corpus
-//! streamed from temp files.
+//! Ablation: the fused ingest→analyze streaming engine against the test
+//! oracle, on a duplicate-heavy synthetic corpus on disk.
 //!
-//! Both contenders read the same on-disk logs through
-//! [`FileLogReader`](sparqlog_core::corpus::FileLogReader)s:
+//! Both contenders read the same on-disk logs:
 //!
-//! * **staged** — `ingest_streams` materializes every valid query's AST in
-//!   `IngestedLog::valid_queries`, then `analyze_cached` folds the corpus
-//!   through the fingerprint-keyed cache (the PR-2/PR-3 production path,
-//!   now the differential baseline);
-//! * **fused** — `analyze_streams` analyses each batch as it parses:
-//!   duplicates fold occurrence-weighted, ASTs die inside their batch, and
-//!   the two phases share one worker pool.
+//! * **oracle** — each file is read into a `RawLog`, `ingest` keeps every
+//!   valid query's owned AST, and the seed multi-walk `analyze_multiwalk`
+//!   folds every query of the population sequentially;
+//! * **fused** — `analyze_streams` streams the files through
+//!   [`FileLogReader`](sparqlog_core::corpus::FileLogReader)s and analyses
+//!   each batch as it parses: duplicates fold occurrence-weighted, ASTs die
+//!   inside their batch, and one worker pool does all the work.
 //!
 //! The binary prints the end-to-end speedup (target ≥ 1.3×), the
 //! peak-residency deltas from the counting allocator (build with
 //! `--features alloc-stats` for real numbers — the fused peak is bounded by
 //! in-flight batches + distinct analyses, not by corpus size), and **exits
-//! non-zero if the fused and staged corpus reports differ by a single byte
+//! non-zero if the fused and oracle corpus reports differ by a single byte
 //! on either population at 1, 2 or 8 workers**.
 
 use sparqlog_bench::gate::DivergenceGate;
 use sparqlog_bench::{
-    alloc_stats, banner, open_file_readers, stats_banner, write_corpus_files, HarnessOptions,
+    alloc_stats, banner, open_file_readers, oracle_corpus, stats_banner, write_corpus_files,
+    HarnessOptions,
 };
-use sparqlog_core::analysis::{CorpusAnalysis, EngineOptions, Population};
+use sparqlog_core::analysis::{CorpusAnalysis, Population};
 use sparqlog_core::cache::AnalysisCache;
-use sparqlog_core::corpus::{
-    analyze_streams_cached, ingest_streams_with, FusedAnalysis, FusedOptions, StreamOptions,
-};
+use sparqlog_core::corpus::{analyze_streams_cached, FusedAnalysis, FusedOptions, RawLog};
 use sparqlog_core::report::full_report;
 use std::path::PathBuf;
 use std::time::Instant;
@@ -41,34 +38,17 @@ const TILE: usize = 6;
 /// The measured runs per contender; the minimum wall-clock wins.
 const REPEATS: usize = 3;
 
-/// One staged end-to-end run: stream-ingest from disk (ASTs retained), then
-/// analyse through a fresh fingerprint-keyed cache.
-fn run_staged(
-    files: &[(String, PathBuf)],
-    population: Population,
-    workers: usize,
-) -> CorpusAnalysis {
-    let logs = ingest_streams_with(
-        open_file_readers(files),
-        StreamOptions {
-            recovery: Default::default(),
-            workers,
-            ..StreamOptions::default()
-        },
-    )
-    .expect("staged ingestion reads the temp files");
-    let cache = AnalysisCache::new();
-    let (analysis, _) = CorpusAnalysis::analyze_cached(
-        &logs,
-        population,
-        EngineOptions {
-            recovery: Default::default(),
-            workers,
-            ..EngineOptions::default()
-        },
-        &cache,
-    );
-    analysis
+/// One oracle end-to-end run: read every file into memory, ingest with
+/// owned ASTs retained, then fold sequentially through the multi-walk.
+fn run_oracle(files: &[(String, PathBuf)], population: Population) -> CorpusAnalysis {
+    let raw: Vec<RawLog> = files
+        .iter()
+        .map(|(label, path)| {
+            let text = std::fs::read_to_string(path).expect("read temp log");
+            RawLog::new(label.clone(), text.lines().map(str::to_string).collect())
+        })
+        .collect();
+    oracle_corpus(&raw, population)
 }
 
 /// One fused end-to-end run: parse, fingerprint, dedup and fold in a single
@@ -117,8 +97,8 @@ fn main() {
     let (files, total_entries) = write_corpus_files(&opts, &dir, TILE);
 
     // -- Timed leg: end-to-end on the Valid ("all") population. -------------
-    let (staged_valid, staged_time, staged_peak) =
-        measure(|| run_staged(&files, Population::Valid, 0));
+    let (oracle_valid, oracle_time, oracle_peak) =
+        measure(|| run_oracle(&files, Population::Valid));
     let (fused_valid, fused_time, fused_peak) = measure(|| run_fused(&files, Population::Valid, 0));
     let counts = &fused_valid.corpus.combined.counts;
     println!(
@@ -135,9 +115,9 @@ fn main() {
     );
     println!(
         "{:<52} {:>8.2}ms {:>14.0}",
-        "staged (materialize ASTs, then analyze)",
-        staged_time * 1e3,
-        total_entries as f64 / staged_time
+        "oracle (materialize ASTs, then multi-walk)",
+        oracle_time * 1e3,
+        total_entries as f64 / oracle_time
     );
     println!(
         "{:<52} {:>8.2}ms {:>14.0}",
@@ -145,7 +125,7 @@ fn main() {
         fused_time * 1e3,
         total_entries as f64 / fused_time
     );
-    let speedup = staged_time / fused_time;
+    let speedup = oracle_time / fused_time;
     println!(
         "end-to-end speedup: {:.2}x (target >= 1.3x: {})\n",
         speedup,
@@ -161,12 +141,12 @@ fn main() {
     );
     if alloc_stats::enabled() {
         println!(
-            "peak live bytes above baseline: staged {:.2} MiB, fused {:.2} MiB ({:.1}x less) — \
+            "peak live bytes above baseline: oracle {:.2} MiB, fused {:.2} MiB ({:.1}x less) — \
              the fused peak is bounded by in-flight batches + distinct analyses, \
-             the staged peak by the whole corpus",
-            staged_peak as f64 / (1 << 20) as f64,
+             the oracle peak by the whole corpus",
+            oracle_peak as f64 / (1 << 20) as f64,
             fused_peak as f64 / (1 << 20) as f64,
-            staged_peak as f64 / fused_peak.max(1) as f64
+            oracle_peak as f64 / fused_peak.max(1) as f64
         );
     } else {
         println!(
@@ -178,10 +158,10 @@ fn main() {
     // -- Differential gate: byte-identical reports, both populations,
     //    1/2/8 workers. -------------------------------------------------------
     let mut gate = DivergenceGate::new();
-    let staged_unique = run_staged(&files, Population::Unique, 0);
+    let oracle_unique = run_oracle(&files, Population::Unique);
     for (population, reference) in [
-        (Population::Valid, &staged_valid),
-        (Population::Unique, &staged_unique),
+        (Population::Valid, &oracle_valid),
+        (Population::Unique, &oracle_unique),
     ] {
         let reference_report = full_report(reference);
         for workers in [1, 2, 8] {
@@ -194,14 +174,14 @@ fn main() {
         }
     }
     gate.compare(
-        "timed fused run differs from the staged report",
-        &full_report(&staged_valid),
+        "timed fused run differs from the oracle report",
+        &full_report(&oracle_valid),
         &full_report(&fused_valid.corpus),
     );
 
     let _ = std::fs::remove_dir_all(&dir);
     gate.finish(
-        "fused and staged corpus reports are byte-identical on both populations \
+        "fused and oracle corpus reports are byte-identical on both populations \
          at 1/2/8 workers",
     );
 }

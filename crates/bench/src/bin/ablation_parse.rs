@@ -7,7 +7,7 @@
 //! * **owned** — [`parse_query`] builds the borrowed AST in the thread-local
 //!   arena and converts it to the heap-owned `ast::Query` form (`String`s
 //!   and `Vec`s per node), then fingerprints the owned tree — the shape of
-//!   the pre-arena pipeline, and what the staged engine still retains;
+//!   the pre-arena pipeline, and what the test oracle's `ingest` retains;
 //! * **zero-copy** — the caller resets a bump [`Arena`] per entry,
 //!   [`parse_query_in`] allocates every node and string slice into it, and
 //!   the fingerprint streams straight off the borrowed tree — the fused
@@ -19,13 +19,15 @@
 //! `--features alloc-stats`; target ≥ 10× fewer bytes per steady-state
 //! pass), and **exits non-zero** if the two paths fingerprint a single entry
 //! differently, or if the fused engine's full report (arenas on) differs by
-//! a byte from the staged pipeline's on either population at 1, 2 or 8
-//! workers.
+//! a byte from the oracle's (owned ASTs, multi-walk) on either population at
+//! 1, 2 or 8 workers.
 
 use sparqlog_bench::gate::DivergenceGate;
-use sparqlog_bench::{alloc_stats, banner, corpus_readers, raw_corpus, HarnessOptions};
-use sparqlog_core::analysis::{CorpusAnalysis, Population};
-use sparqlog_core::corpus::{analyze_streams_with, ingest_streams, FusedOptions};
+use sparqlog_bench::{
+    alloc_stats, banner, corpus_readers, oracle_corpus, raw_corpus, HarnessOptions,
+};
+use sparqlog_core::analysis::Population;
+use sparqlog_core::corpus::{analyze_streams_with, FusedOptions};
 use sparqlog_core::report::full_report;
 use sparqlog_parser::{
     canonical_fingerprint_of, canonical_fingerprint_of_ref, parse_query, parse_query_in, Arena,
@@ -164,16 +166,14 @@ fn main() {
     );
 
     // Full reports with arenas on: the fused engine (per-worker arenas,
-    // borrowed analyses) against the staged pipeline (owned ASTs), both
+    // borrowed analyses) against the oracle (owned ASTs), both
     // populations, 1/2/8 workers. The Valid-population runs double as the
     // first multi-core wall-clock scaling sample (informational — thread
     // spawn and the batch mutex dominate at this corpus scale).
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut scaling: Vec<(usize, f64, u64)> = Vec::new();
     for population in [Population::Valid, Population::Unique] {
-        let logs = ingest_streams(corpus_readers(raw_corpus(&opts)))
-            .expect("in-memory ingestion cannot fail");
-        let reference = full_report(&CorpusAnalysis::analyze(&logs, population));
+        let reference = full_report(&oracle_corpus(&raw_corpus(&opts), population));
         for workers in [1, 2, 8] {
             let readers = corpus_readers(raw_corpus(&opts));
             let start = Instant::now();
@@ -209,6 +209,6 @@ fn main() {
 
     gate.finish(
         "owned and zero-copy parses agree on every fingerprint, and fused \
-         reports are byte-identical to staged on both populations at 1/2/8 workers",
+         reports are byte-identical to the oracle's on both populations at 1/2/8 workers",
     );
 }

@@ -1,11 +1,20 @@
-//! Ablation: the single-pass analysis engine against the seed multi-walk
-//! path, on the same synthetic corpus. Reports per-stage times and the
-//! end-to-end speedup (the workspace-refactor acceptance target is >= 1.5x).
+//! Ablation: the single-pass analysis against the seed multi-walk oracle,
+//! on the same synthetic corpus. Reports the per-query fold times, the
+//! end-to-end corpus times and their speedups (the workspace-refactor
+//! acceptance target is >= 1.5x), and exits non-zero if the fused corpus
+//! report differs by a single byte from the oracle's.
 
-use sparqlog_bench::{banner, build_corpus, HarnessOptions};
-use sparqlog_core::analysis::{CorpusAnalysis, DatasetAnalysis, EngineOptions};
-use sparqlog_core::baseline::{add_query_multiwalk, analyze_multiwalk};
+use sparqlog_bench::gate::DivergenceGate;
+use sparqlog_bench::{
+    banner, build_corpus, corpus_readers, oracle_corpus, raw_corpus, HarnessOptions,
+};
+use sparqlog_core::analysis::DatasetAnalysis;
+use sparqlog_core::baseline::add_query_multiwalk;
+use sparqlog_core::corpus::analyze_streams;
+use sparqlog_core::report::full_report;
+use sparqlog_core::QueryAnalysis;
 use sparqlog_parser::intern::Interner;
+use sparqlog_parser::{parse_query_in, to_canonical_string, Arena};
 use std::time::Instant;
 
 fn main() {
@@ -14,6 +23,15 @@ fn main() {
     let logs = build_corpus(&opts);
     let queries: Vec<_> = logs.iter().flat_map(|l| l.unique_queries()).collect();
     println!("unique queries analysed: {}\n", queries.len());
+
+    // The single pass walks the borrowed arena AST the fused engine parses
+    // into; re-parsing each canonical form yields the same analysis.
+    let texts: Vec<String> = queries.iter().map(|q| to_canonical_string(q)).collect();
+    let arena = Arena::new();
+    let borrowed: Vec<_> = texts
+        .iter()
+        .map(|text| parse_query_in(text, &arena).expect("canonical forms re-parse"))
+        .collect();
 
     let repeats = 5;
     let mut multi_best = f64::INFINITY;
@@ -30,8 +48,8 @@ fn main() {
         let t = Instant::now();
         let mut analysis = DatasetAnalysis::default();
         let mut interner = Interner::new();
-        for q in &queries {
-            analysis.add_query_with(q, &mut interner);
+        for q in &borrowed {
+            analysis.add(&QueryAnalysis::of_ref(q, &mut interner));
         }
         std::hint::black_box(&analysis);
         single_best = single_best.min(t.elapsed().as_secs_f64());
@@ -40,23 +58,29 @@ fn main() {
     println!("per-query fold, single-pass: {:.3} ms", single_best * 1e3);
     println!("speedup: {:.2}x\n", multi_best / single_best);
 
+    let raw = raw_corpus(&opts);
     let t = Instant::now();
-    std::hint::black_box(analyze_multiwalk(&logs, opts.population()));
+    let oracle = oracle_corpus(&raw, opts.population());
     let multi_corpus = t.elapsed().as_secs_f64();
     let t = Instant::now();
-    std::hint::black_box(CorpusAnalysis::analyze_with(
-        &logs,
-        opts.population(),
-        EngineOptions::default(),
-    ));
+    let fused = analyze_streams(corpus_readers(raw), opts.population())
+        .expect("in-memory streams cannot fail");
     let single_corpus = t.elapsed().as_secs_f64();
     println!(
-        "corpus analysis, multi-walk sequential : {:.3} ms",
+        "corpus ingest+analysis, multi-walk oracle (sequential): {:.3} ms",
         multi_corpus * 1e3
     );
     println!(
-        "corpus analysis, single-pass (pooled)  : {:.3} ms",
+        "corpus ingest+analysis, fused single-pass (pooled)    : {:.3} ms",
         single_corpus * 1e3
     );
-    println!("speedup: {:.2}x", multi_corpus / single_corpus);
+    println!("speedup: {:.2}x\n", multi_corpus / single_corpus);
+
+    let mut gate = DivergenceGate::new();
+    gate.compare(
+        "fused corpus report differs from the multi-walk oracle",
+        &full_report(&oracle),
+        &full_report(&fused.corpus),
+    );
+    gate.finish("fused and multi-walk oracle corpus reports are byte-identical");
 }

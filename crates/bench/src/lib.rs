@@ -22,12 +22,10 @@
 pub mod alloc_stats;
 pub mod gate;
 
-use sparqlog_core::analysis::{
-    AnalysisStats, CachePolicy, CorpusAnalysis, EngineOptions, Population,
-};
+use sparqlog_core::analysis::{AnalysisStats, CorpusAnalysis, Population};
+use sparqlog_core::baseline::analyze_multiwalk;
 use sparqlog_core::corpus::{
-    analyze_streams, ingest_all_materializing, ingest_streams, FileLogReader, IngestedLog,
-    LogReader, MemoryLogReader, RawLog,
+    analyze_streams, ingest, FileLogReader, IngestedLog, LogReader, MemoryLogReader, RawLog,
 };
 use sparqlog_synth::{generate_corpus, CorpusConfig};
 use std::io::Write as _;
@@ -59,38 +57,41 @@ impl Default for HarnessOptions {
 }
 
 impl HarnessOptions {
-    /// Parses options from `std::env::args`. Recognised flags:
-    /// `--scale <f64>`, `--seed <u64>`, `--cap <u64>`, `--valid`.
+    /// Parses options from `std::env::args`; see [`HarnessOptions::parse`].
+    /// A known flag with a missing or unparsable value prints the parse
+    /// error and exits with status 2.
     pub fn from_args() -> HarnessOptions {
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        HarnessOptions::parse(&args).unwrap_or_else(|error| {
+            eprintln!("error: {error}");
+            std::process::exit(2);
+        })
+    }
+
+    /// Parses options from command-line arguments (program name excluded).
+    /// Recognised flags: `--scale <f64>`, `--seed <u64>`, `--cap <u64>`,
+    /// `--valid`. Unknown arguments are skipped, so binaries can parse
+    /// flags of their own from the same list. A recognised flag whose value
+    /// is missing or does not parse is an error naming the flag and value.
+    pub fn parse(args: &[String]) -> Result<HarnessOptions, String> {
+        fn value<T: std::str::FromStr>(flag: &str, value: Option<&String>) -> Result<T, String> {
+            let value = value.ok_or_else(|| format!("{flag} needs a value"))?;
+            value
+                .parse()
+                .map_err(|_| format!("invalid value {value:?} for {flag}"))
+        }
         let mut opts = HarnessOptions::default();
-        let args: Vec<String> = std::env::args().collect();
-        let mut i = 1;
-        while i < args.len() {
-            match args[i].as_str() {
-                "--scale" => {
-                    if let Some(v) = args.get(i + 1).and_then(|s| s.parse().ok()) {
-                        opts.scale = v;
-                    }
-                    i += 1;
-                }
-                "--seed" => {
-                    if let Some(v) = args.get(i + 1).and_then(|s| s.parse().ok()) {
-                        opts.seed = v;
-                    }
-                    i += 1;
-                }
-                "--cap" => {
-                    if let Some(v) = args.get(i + 1).and_then(|s| s.parse().ok()) {
-                        opts.cap = v;
-                    }
-                    i += 1;
-                }
+        let mut args = args.iter();
+        while let Some(arg) = args.next() {
+            match arg.as_str() {
+                "--scale" => opts.scale = value(arg, args.next())?,
+                "--seed" => opts.seed = value(arg, args.next())?,
+                "--cap" => opts.cap = value(arg, args.next())?,
                 "--valid" => opts.valid_population = true,
                 _ => {}
             }
-            i += 1;
         }
-        opts
+        Ok(opts)
     }
 
     /// The population selected by the options.
@@ -103,7 +104,7 @@ impl HarnessOptions {
     }
 }
 
-/// Generates the synthetic corpus as raw logs (the materializing input).
+/// Generates the synthetic corpus as raw logs.
 pub fn raw_corpus(opts: &HarnessOptions) -> Vec<RawLog> {
     let corpus = generate_corpus(CorpusConfig {
         scale: opts.scale,
@@ -178,42 +179,31 @@ pub fn open_file_readers(files: &[(String, PathBuf)]) -> Vec<Box<dyn LogReader +
         .collect()
 }
 
-/// Generates the synthetic corpus and ingests it through the staged
-/// streaming path (ASTs retained in [`IngestedLog::valid_queries`]) — the
-/// input of the staged analysis engine and the `ablation_*` baselines.
+/// Generates the synthetic corpus and ingests it through the test oracle's
+/// materializing path ([`ingest`]: every valid query's owned AST stays
+/// resident) — the input of the multi-walk baselines.
 pub fn build_corpus(opts: &HarnessOptions) -> Vec<IngestedLog> {
-    ingest_streams(corpus_readers(raw_corpus(opts))).expect("in-memory ingestion cannot fail")
+    raw_corpus(opts).iter().map(ingest).collect()
 }
 
-/// Generates the synthetic corpus and ingests it through the materializing
-/// reference path (full `RawLog` residency, canonical strings built and then
-/// hashed) — the baseline `ablation_streaming` measures against.
-pub fn build_corpus_materializing(opts: &HarnessOptions) -> Vec<IngestedLog> {
-    ingest_all_materializing(&raw_corpus(opts))
+/// The test oracle's corpus analysis of raw logs: the materializing
+/// [`ingest`] followed by the seed multi-walk [`analyze_multiwalk`]. The
+/// harness gates compare the fused engine's reports with it byte for byte.
+pub fn oracle_corpus(raw: &[RawLog], population: Population) -> CorpusAnalysis {
+    let logs: Vec<IngestedLog> = raw.iter().map(ingest).collect();
+    analyze_multiwalk(&logs, population)
 }
 
-/// Generates, ingests and analyses the synthetic corpus in one call — the
-/// entry point shared by most harness binaries. Runs on the **fused**
-/// ingest→analyze engine: each batch is analysed as it parses and no query
-/// AST outlives its batch (the staged path survives in [`build_corpus`] +
-/// [`CorpusAnalysis::analyze_stats`] as the differential baseline).
+/// Generates, ingests and analyses the synthetic corpus in one call on the
+/// fused ingest→analyze engine — the entry point shared by most harness
+/// binaries.
 pub fn analyzed_corpus(opts: &HarnessOptions) -> CorpusAnalysis {
     analyzed_corpus_stats(opts).0
 }
 
 /// [`analyzed_corpus`] returning the run's cache / interner counters too, so
 /// harness binaries can print the [`stats_banner`] under their headline.
-///
-/// The fused engine structurally requires its fingerprint-keyed memo table,
-/// so the documented `SPARQLOG_ANALYSIS_CACHE=0` differential toggle cannot
-/// disable caching *inside* it; instead it drops the whole harness back to
-/// the staged pipeline with the cache off — the uncached reference the
-/// toggle has always meant.
 pub fn analyzed_corpus_stats(opts: &HarnessOptions) -> (CorpusAnalysis, AnalysisStats) {
-    if !CachePolicy::Auto.enabled() {
-        let logs = build_corpus(opts);
-        return CorpusAnalysis::analyze_stats(&logs, opts.population(), EngineOptions::default());
-    }
     let fused = analyze_streams(corpus_readers(raw_corpus(opts)), opts.population())
         .expect("in-memory streams cannot fail");
     (fused.corpus, fused.stats)
@@ -290,6 +280,28 @@ mod tests {
         let corpus = analyzed_corpus(&opts);
         assert_eq!(corpus.datasets.len(), 13);
         assert!(corpus.combined.keywords.total_queries > 0);
+    }
+
+    #[test]
+    fn flag_values_parse_or_fail_naming_the_flag() {
+        let args = |list: &[&str]| -> Vec<String> { list.iter().map(|s| s.to_string()).collect() };
+        let opts = HarnessOptions::parse(&args(&[
+            "--scale", "1e-3", "--fault", "die", "--seed", "7", "--valid", "--cap", "10",
+        ]))
+        .unwrap();
+        assert_eq!(
+            opts,
+            HarnessOptions {
+                scale: 1e-3,
+                seed: 7,
+                valid_population: true,
+                cap: 10,
+            }
+        );
+        let missing = HarnessOptions::parse(&args(&["--seed"])).unwrap_err();
+        assert!(missing.contains("--seed"), "{missing}");
+        let bad = HarnessOptions::parse(&args(&["--scale", "1e-3x"])).unwrap_err();
+        assert!(bad.contains("--scale") && bad.contains("1e-3x"), "{bad}");
     }
 
     #[test]

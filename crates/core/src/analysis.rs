@@ -2,23 +2,22 @@
 //! of the paper: shallow statistics, fragments, shapes, widths, property
 //! paths.
 //!
-//! Folding is driven by the single-pass [`QueryAnalysis`] intermediate: each
-//! query's AST is traversed exactly once, and [`CorpusAnalysis::analyze`]
-//! distributes the queries of *all* datasets over a chunked work-stealing
-//! pool bounded by the available cores, merging per-worker accumulators with
-//! the commutative `merge` methods (so the result is independent of worker
-//! count and chunk schedule).
+//! Folding is driven by the single-pass [`QueryAnalysis`] intermediate: the
+//! fused engine ([`crate::fused`]) analyses each distinct canonical form
+//! once and folds the record occurrence-weighted through
+//! [`DatasetAnalysis::add_times`] on a chunked work-stealing pool, merging
+//! per-worker accumulators with the commutative `merge` methods (so the
+//! result is independent of worker count and chunk schedule).
 
-use crate::cache::{AnalysisCache, CacheStats};
-use crate::corpus::{CorpusCounts, IngestedLog};
+use crate::cache::CacheStats;
+use crate::corpus::CorpusCounts;
 use crate::query_analysis::QueryAnalysis;
 use crate::recover::{ErrorTally, RecoveryPolicy};
 use serde::{Deserialize, Serialize};
 use sparqlog_algebra::opsets::classify_from_features;
 use sparqlog_algebra::{FragmentTally, KeywordTally, OpSetTally, ProjectionTally, TripleHistogram};
 use sparqlog_graph::{ShapeTally, StructuralReport};
-use sparqlog_parser::intern::{InternStats, Interner};
-use sparqlog_parser::Query;
+use sparqlog_parser::intern::InternStats;
 use sparqlog_paths::PathTally;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -192,20 +191,6 @@ pub struct DatasetAnalysis {
 }
 
 impl DatasetAnalysis {
-    /// Analyses one query and folds it into the tallies. The per-query work
-    /// performs exactly one AST traversal and one canonical-graph
-    /// construction (see [`QueryAnalysis::of`]).
-    pub fn add_query(&mut self, query: &Query) {
-        self.add(&QueryAnalysis::of(query));
-    }
-
-    /// [`DatasetAnalysis::add_query`] through a caller-owned term interner —
-    /// the pattern the analysis workers use, so term strings repeated across
-    /// a fold loop are interned once.
-    pub fn add_query_with(&mut self, query: &Query, interner: &mut Interner) {
-        self.add(&QueryAnalysis::of_with(query, interner));
-    }
-
     /// Folds an already-computed per-query analysis into the tallies `times`
     /// times at once — the occurrence-weighted fold of the fused streaming
     /// engine ([`crate::fused::analyze_streams`]), which records each
@@ -360,85 +345,10 @@ pub struct CorpusAnalysis {
     pub combined: DatasetAnalysis,
 }
 
-/// Whether the analysis engine memoizes per-query analyses in a
-/// fingerprint-keyed [`AnalysisCache`]. Caching never changes any report
-/// (see the [`crate::cache`] docs for the soundness argument); the policy
-/// exists so differential runs can pin either path.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum CachePolicy {
-    /// Follow the `SPARQLOG_ANALYSIS_CACHE` environment variable: `0`,
-    /// `false`, `off` or `no` (case-insensitive) disable the cache, anything
-    /// else — including an unset variable — enables it. The same pattern as
-    /// the `SPARQLOG_WORKERS` override honoured by
-    /// [`default_workers`](crate::corpus::default_workers).
-    #[default]
-    Auto,
-    /// Memoize regardless of the environment.
-    Enabled,
-    /// Analyse every occurrence from scratch regardless of the environment.
-    Disabled,
-}
-
-impl CachePolicy {
-    /// Resolves the policy against the environment.
-    pub fn enabled(self) -> bool {
-        match self {
-            CachePolicy::Enabled => true,
-            CachePolicy::Disabled => false,
-            CachePolicy::Auto => !matches!(
-                std::env::var("SPARQLOG_ANALYSIS_CACHE")
-                    .ok()
-                    .map(|v| v.trim().to_ascii_lowercase())
-                    .as_deref(),
-                Some("0" | "false" | "off" | "no")
-            ),
-        }
-    }
-}
-
-/// Tuning knobs for the parallel analysis engine. The result of the analysis
-/// does not depend on them — every fold is commutative and caching is
-/// report-transparent — only the schedule and the work profile do, which the
-/// determinism and differential tests exploit.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EngineOptions {
-    /// Number of worker threads; `0` uses the available parallelism.
-    pub workers: usize,
-    /// Queries per work chunk; `0` picks a size from the workload.
-    pub chunk_size: usize,
-    /// Whether to memoize per-query analyses by canonical fingerprint.
-    pub cache: CachePolicy,
-    /// The recovery policy of the run this analysis belongs to. The
-    /// analysis engine itself never parses — recovery happened during
-    /// ingestion, whose tallies ride in on [`IngestedLog::errors`] — so
-    /// the field only drives [`CorpusAnalysis::enforce_budget`], which
-    /// staged drivers call after analysis to fail a run whose merged
-    /// defect rate exceeds an [`RecoveryPolicy::ErrorBudget`].
-    pub recovery: RecoveryPolicy,
-}
-
-impl EngineOptions {
-    fn resolve_workers(&self) -> usize {
-        if self.workers > 0 {
-            return self.workers;
-        }
-        crate::corpus::default_workers()
-    }
-
-    fn resolve_chunk_size(&self, work: usize, workers: usize) -> usize {
-        if self.chunk_size > 0 {
-            return self.chunk_size;
-        }
-        // Aim for several chunks per worker so stragglers re-balance, while
-        // keeping chunks large enough to amortize the queue pop.
-        (work / (workers * 8).max(1)).clamp(16, 1024)
-    }
-}
-
 /// Observability counters of one analysis run: what the fingerprint cache
-/// absorbed and what the per-worker term interners saved. Reported by
-/// [`CorpusAnalysis::analyze_stats`] / [`CorpusAnalysis::analyze_cached`] and
-/// surfaced in the harness banners; never part of the corpus report itself.
+/// absorbed and what the per-worker term interners saved. Reported by the
+/// fused engine ([`crate::fused::FusedAnalysis::stats`]) and surfaced in the
+/// harness banners; never part of the corpus report itself.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct AnalysisStats {
     /// Cumulative cache counters, when the run used a cache.
@@ -448,63 +358,47 @@ pub struct AnalysisStats {
 }
 
 /// Runs `fold` over `items` on a chunked, self-scheduling worker pool with
-/// per-worker dataset accumulators and per-worker `state` (a term interner
-/// for the staged engine, nothing for the fused engine's occurrence-weighted
-/// fold), returning every worker's `(accumulators, state)`. Every fold in
-/// this crate is commutative, so the schedule never changes the merged
-/// result.
-pub(crate) fn chunked_fold_pool<T: Sync, S: Send>(
+/// per-worker dataset accumulators, returning every worker's accumulators.
+/// Worker 0 runs on the calling thread, so a 1-worker fold spawns no
+/// thread. Every fold in this crate is commutative, so the schedule never
+/// changes the merged result.
+pub(crate) fn chunked_fold_pool<T: Sync>(
     items: &[T],
     dataset_count: usize,
     workers: usize,
     chunk_size: usize,
-    new_state: impl Fn() -> S + Sync,
-    fold: impl Fn(&mut [DatasetAnalysis], &mut S, &T) + Sync,
-) -> Vec<(Vec<DatasetAnalysis>, S)> {
-    let fresh_accumulators = || -> Vec<DatasetAnalysis> {
-        (0..dataset_count)
-            .map(|_| DatasetAnalysis::default())
-            .collect()
-    };
+    fold: impl Fn(&mut [DatasetAnalysis], &T) + Sync,
+) -> Vec<Vec<DatasetAnalysis>> {
     let chunks: Vec<&[T]> = items.chunks(chunk_size.max(1)).collect();
     let workers = workers.min(chunks.len()).max(1);
-    if workers == 1 {
-        let mut acc = fresh_accumulators();
-        let mut state = new_state();
-        for item in items {
-            fold(&mut acc, &mut state, item);
-        }
-        return vec![(acc, state)];
-    }
     let cursor = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut acc = fresh_accumulators();
-                    let mut state = new_state();
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(chunk) = chunks.get(i) else { break };
-                        for item in *chunk {
-                            fold(&mut acc, &mut state, item);
-                        }
-                    }
-                    (acc, state)
-                })
-            })
+    let run_worker = || {
+        let mut acc: Vec<DatasetAnalysis> = (0..dataset_count)
+            .map(|_| DatasetAnalysis::default())
             .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("fold workers must not panic"))
-            .collect()
+        while let Some(chunk) = chunks.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+            for item in *chunk {
+                fold(&mut acc, item);
+            }
+        }
+        acc
+    };
+    std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(run_worker)).collect();
+        let mut results = vec![run_worker()];
+        results.extend(
+            helpers
+                .into_iter()
+                .map(|h| h.join().expect("fold workers must not panic")),
+        );
+        results
     })
 }
 
 /// Merges per-worker accumulators into per-dataset headers (label and
 /// counts already set) and builds the corpus-level "Total" row — the
-/// deterministic tail shared by the staged and fused engines (all tallies
-/// are commutative sums / maxima).
+/// deterministic tail of the fused engine (all tallies are commutative
+/// sums / maxima).
 pub(crate) fn merge_into_corpus(
     mut datasets: Vec<DatasetAnalysis>,
     accumulators: &[Vec<DatasetAnalysis>],
@@ -530,154 +424,35 @@ impl CorpusAnalysis {
     /// [`RecoveryPolicy::ErrorBudget`] whose defect rate is exceeded, in
     /// which case the error carries a
     /// [`BudgetExceeded`](crate::recover::BudgetExceeded) payload with the
-    /// preserved tally. The streaming entry points run this check
-    /// themselves; staged drivers that assemble a [`CorpusAnalysis`] from
-    /// pre-ingested logs call it explicitly.
+    /// preserved tally. The fused engine runs this check itself; drivers
+    /// that assemble a [`CorpusAnalysis`] from merged partial results (the
+    /// shard coordinator) call it explicitly.
     pub fn enforce_budget(&self, policy: RecoveryPolicy) -> std::io::Result<()> {
         crate::recover::enforce_budget(policy, &self.combined.errors, self.combined.counts.total)
-    }
-
-    /// Analyses a set of ingested logs over the chosen population, using all
-    /// available cores.
-    pub fn analyze(logs: &[IngestedLog], population: Population) -> CorpusAnalysis {
-        CorpusAnalysis::analyze_with(logs, population, EngineOptions::default())
-    }
-
-    /// Analyses a set of ingested logs with explicit engine options,
-    /// discarding the run's [`AnalysisStats`].
-    pub fn analyze_with(
-        logs: &[IngestedLog],
-        population: Population,
-        options: EngineOptions,
-    ) -> CorpusAnalysis {
-        CorpusAnalysis::analyze_stats(logs, population, options).0
-    }
-
-    /// Analyses a set of ingested logs with explicit engine options,
-    /// returning the cache and interner counters alongside the analysis.
-    /// When the resolved [`CachePolicy`] enables caching, the run uses a
-    /// fresh [`AnalysisCache`] scoped to this call; use
-    /// [`CorpusAnalysis::analyze_cached`] to share a cache across calls
-    /// (e.g. across the Unique/Valid population switch).
-    pub fn analyze_stats(
-        logs: &[IngestedLog],
-        population: Population,
-        options: EngineOptions,
-    ) -> (CorpusAnalysis, AnalysisStats) {
-        if options.cache.enabled() {
-            let cache = AnalysisCache::new();
-            CorpusAnalysis::analyze_cached(logs, population, options, &cache)
-        } else {
-            CorpusAnalysis::run_engine(logs, population, options, None)
-        }
-    }
-
-    /// Analyses a set of ingested logs against a caller-owned
-    /// [`AnalysisCache`], ignoring the options' [`CachePolicy`]: the caller
-    /// asked for the cache explicitly. Entries memoized by earlier runs
-    /// (other logs, the other population) are reused, so re-analysing the
-    /// appendix ("all") population after the main ("unique") one only
-    /// analyses canonical forms never seen before. The returned
-    /// [`CacheStats`] are the cache's cumulative counters.
-    pub fn analyze_cached(
-        logs: &[IngestedLog],
-        population: Population,
-        options: EngineOptions,
-        cache: &AnalysisCache,
-    ) -> (CorpusAnalysis, AnalysisStats) {
-        CorpusAnalysis::run_engine(logs, population, options, Some(cache))
-    }
-
-    /// The analysis engine shared by every entry point.
-    ///
-    /// The queries of *all* datasets are flattened into one work list and
-    /// processed in chunks by a self-scheduling worker pool: each worker
-    /// repeatedly claims the next unprocessed chunk (an atomic cursor), folds
-    /// its queries into a private per-dataset accumulator through its own
-    /// term [`Interner`], and the accumulators are merged at the end. With a
-    /// cache, each work item first consults the memo table under the query's
-    /// canonical fingerprint (computed by ingestion, so the key is free) and
-    /// only analyses on a miss; every occurrence still folds into the
-    /// tallies, so occurrence counts are preserved exactly. Results are
-    /// bit-identical across worker counts, chunk sizes and cache modes.
-    fn run_engine(
-        logs: &[IngestedLog],
-        population: Population,
-        options: EngineOptions,
-        cache: Option<&AnalysisCache>,
-    ) -> (CorpusAnalysis, AnalysisStats) {
-        // Flatten the corpus into (dataset index, fingerprint, query) items.
-        let mut work: Vec<(usize, u128, &Query)> = Vec::new();
-        for (d, log) in logs.iter().enumerate() {
-            match population {
-                Population::Unique => work.extend(
-                    log.unique_indices
-                        .iter()
-                        .map(|&i| (d, log.fingerprints[i], &log.valid_queries[i])),
-                ),
-                Population::Valid => work.extend(
-                    log.valid_queries
-                        .iter()
-                        .zip(&log.fingerprints)
-                        .map(|(q, &fp)| (d, fp, q)),
-                ),
-            }
-        }
-        let workers = options.resolve_workers().max(1);
-        let chunk_size = options.resolve_chunk_size(work.len(), workers);
-        let results = chunked_fold_pool(
-            &work,
-            logs.len(),
-            workers,
-            chunk_size,
-            Interner::new,
-            |acc, interner, &(d, fp, q)| match cache {
-                Some(cache) => {
-                    let qa = cache.get_or_insert_with(fp, || QueryAnalysis::of_with(q, interner));
-                    acc[d].add(&qa);
-                }
-                None => acc[d].add(&QueryAnalysis::of_with(q, interner)),
-            },
-        );
-
-        // Deterministic merge: per-dataset headers first, then every worker's
-        // accumulator.
-        let datasets: Vec<DatasetAnalysis> = logs
-            .iter()
-            .map(|log| DatasetAnalysis {
-                label: log.label.clone(),
-                counts: log.counts,
-                errors: log.errors.clone(),
-                ..DatasetAnalysis::default()
-            })
-            .collect();
-        let mut interner_stats = InternStats::default();
-        let accumulators: Vec<Vec<DatasetAnalysis>> = results
-            .into_iter()
-            .map(|(acc, interner)| {
-                interner_stats.merge(&interner.stats());
-                acc
-            })
-            .collect();
-        let stats = AnalysisStats {
-            cache: cache.map(AnalysisCache::stats),
-            interner: interner_stats,
-        };
-        (merge_into_corpus(datasets, &accumulators), stats)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::corpus::{ingest, RawLog};
+    use crate::corpus::{LogReader, MemoryLogReader};
+    use crate::fused::analyze_streams;
+
+    fn corpus_of(logs: &[(&str, &[&str])], population: Population) -> CorpusAnalysis {
+        let readers: Vec<Box<dyn LogReader>> = logs
+            .iter()
+            .map(|(label, entries)| {
+                Box::new(MemoryLogReader::new(
+                    *label,
+                    entries.iter().map(|s| s.to_string()).collect(),
+                )) as Box<dyn LogReader>
+            })
+            .collect();
+        analyze_streams(readers, population).unwrap().corpus
+    }
 
     fn analysis_of(entries: &[&str]) -> DatasetAnalysis {
-        let log = ingest(&RawLog::new(
-            "t",
-            entries.iter().map(|s| s.to_string()).collect(),
-        ));
-        let corpus = CorpusAnalysis::analyze(&[log], Population::Unique);
+        let corpus = corpus_of(&[("t", entries)], Population::Unique);
         corpus.datasets.into_iter().next().unwrap()
     }
 
@@ -709,27 +484,21 @@ mod tests {
             "SELECT ?x WHERE { ?x a <http://C> }",
             "SELECT ?y WHERE { ?y a <http://D> }",
         ];
-        let log = ingest(&RawLog::new(
-            "t",
-            entries.iter().map(|s| s.to_string()).collect(),
-        ));
-        let unique = CorpusAnalysis::analyze(std::slice::from_ref(&log), Population::Unique);
-        let valid = CorpusAnalysis::analyze(&[log], Population::Valid);
+        let unique = corpus_of(&[("t", &entries)], Population::Unique);
+        let valid = corpus_of(&[("t", &entries)], Population::Valid);
         assert_eq!(unique.combined.keywords.total_queries, 2);
         assert_eq!(valid.combined.keywords.total_queries, 3);
     }
 
     #[test]
     fn combined_analysis_merges_datasets() {
-        let log1 = ingest(&RawLog::new(
-            "a",
-            vec!["SELECT ?x WHERE { ?x a <http://C> }".to_string()],
-        ));
-        let log2 = ingest(&RawLog::new(
-            "b",
-            vec!["ASK { ?x <http://p> ?y }".to_string()],
-        ));
-        let corpus = CorpusAnalysis::analyze(&[log1, log2], Population::Unique);
+        let corpus = corpus_of(
+            &[
+                ("a", &["SELECT ?x WHERE { ?x a <http://C> }"]),
+                ("b", &["ASK { ?x <http://p> ?y }"]),
+            ],
+            Population::Unique,
+        );
         assert_eq!(corpus.datasets.len(), 2);
         assert_eq!(corpus.combined.keywords.total_queries, 2);
         assert_eq!(corpus.combined.counts.total, 2);

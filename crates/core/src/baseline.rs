@@ -1,17 +1,18 @@
-//! The original multi-walk analysis path, preserved verbatim as a reference
-//! implementation.
+//! The seed multi-walk analysis path, preserved verbatim as the analysis
+//! half of the test oracle.
 //!
 //! The seed pipeline analysed each query by calling four independent entry
 //! points — [`QueryFeatures::of`], [`collect_property_paths`],
 //! [`sparqlog_algebra::ProjectionTally::add`] and [`StructuralReport::of`] —
-//! each of which
-//! traverses the AST on its own. The single-pass engine
-//! ([`crate::query_analysis::QueryAnalysis`]) replaces that with one shared
-//! traversal; this module keeps the old composition alive so that
+//! each of which traverses the owned AST on its own. The production engine
+//! ([`crate::fused`]) replaces that with one borrowed-AST traversal per
+//! distinct canonical form ([`crate::query_analysis::QueryAnalysis`]). The
+//! oracle is [`crate::corpus::ingest`] followed by [`analyze_multiwalk`]:
 //!
-//! * the differential tests can assert byte-identical results between the
-//!   two paths on arbitrary corpora, and
-//! * the `single_pass` benchmark can measure the speedup.
+//! * the differential tests and the `ablation_*` harness gates assert that
+//!   the fused engine's reports are byte-identical to it on arbitrary
+//!   corpora, and
+//! * the `single_pass` benchmark measures the speedup over it.
 
 use crate::analysis::{CorpusAnalysis, DatasetAnalysis, Population};
 use crate::corpus::IngestedLog;
@@ -90,8 +91,9 @@ pub fn structural_report_multiwalk(query: &Query) -> StructuralReport {
     report
 }
 
-/// Analyses a corpus sequentially through the multi-walk path — the seed
-/// behaviour of `CorpusAnalysis::analyze`.
+/// Analyses logs ingested by [`crate::corpus::ingest`] sequentially through
+/// the multi-walk path — the seed behaviour, and the oracle's corpus
+/// analysis.
 pub fn analyze_multiwalk(logs: &[IngestedLog], population: Population) -> CorpusAnalysis {
     let mut datasets = Vec::with_capacity(logs.len());
     for log in logs {
@@ -128,25 +130,27 @@ pub fn analyze_multiwalk(logs: &[IngestedLog], population: Population) -> Corpus
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::corpus::{ingest, RawLog};
+    use crate::corpus::{ingest, MemoryLogReader, RawLog};
+    use crate::fused::analyze_streams;
 
     #[test]
-    fn multiwalk_agrees_with_single_pass_on_a_small_log() {
-        let log = ingest(&RawLog::new(
-            "t",
-            [
-                "SELECT ?x WHERE { ?x a <http://C> . ?x <http://p> ?y FILTER(?y > 3) }",
-                "ASK { ?a <http://p> ?b . ?b <http://p> ?c . ?c <http://p> ?a }",
-                "SELECT ?x WHERE { ?x <http://a>/<http://b>* ?y }",
-                "DESCRIBE <http://r>",
-            ]
-            .iter()
-            .map(|s| s.to_string())
-            .collect(),
-        ));
-        let logs = [log];
+    fn multiwalk_agrees_with_the_fused_engine_on_a_small_log() {
+        let entries: Vec<String> = [
+            "SELECT ?x WHERE { ?x a <http://C> . ?x <http://p> ?y FILTER(?y > 3) }",
+            "ASK { ?a <http://p> ?b . ?b <http://p> ?c . ?c <http://p> ?a }",
+            "SELECT ?x WHERE { ?x <http://a>/<http://b>* ?y }",
+            "DESCRIBE <http://r>",
+        ]
+        .iter()
+        .map(|s| s.to_string())
+        .collect();
+        let logs = [ingest(&RawLog::new("t", entries.clone()))];
         let multi = analyze_multiwalk(&logs, Population::Unique);
-        let single = CorpusAnalysis::analyze(&logs, Population::Unique);
-        assert_eq!(format!("{multi:?}"), format!("{single:?}"));
+        let fused = analyze_streams(
+            vec![Box::new(MemoryLogReader::new("t", entries))],
+            Population::Unique,
+        )
+        .unwrap();
+        assert_eq!(format!("{multi:?}"), format!("{:?}", fused.corpus));
     }
 }

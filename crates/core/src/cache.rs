@@ -6,22 +6,20 @@
 //! "all" (Valid) population used to re-run the full [`QueryAnalysis`] (AST
 //! walk, canonical-graph construction, shape / treewidth classification) for
 //! every occurrence. The [`AnalysisCache`] memoizes the per-query record
-//! under the 128-bit canonical fingerprint that ingestion already computes
-//! for duplicate elimination, so duplicate occurrences — within a log,
-//! across logs, and across the Unique/Valid population switch — fetch the
-//! memoized record and fold it into the dataset tallies with one cheap
-//! integer-counter pass per occurrence.
+//! under the 128-bit canonical fingerprint that the fused engine already
+//! computes for duplicate elimination, so duplicate occurrences — within a
+//! log, across logs, and across the Unique/Valid population switch — reuse
+//! the memoized record instead of re-analysing.
 //!
 //! **Soundness.** The cache key is exactly the dedup key: two queries share a
 //! fingerprint iff they share a canonical form (modulo the same 128-bit
 //! FNV-1a collision probability the Table-1 "Unique" numbers already accept),
-//! and every measure [`QueryAnalysis::of`] computes is a function of the
+//! and every measure [`QueryAnalysis::of_ref`] computes is a function of the
 //! canonical form — the only AST content canonicalization erases is the
 //! prologue, which no analysis reads. Caching therefore cannot change any
 //! report, which the differential tests prove corpus-wide.
 //!
-//! Like [`FingerprintShards`](crate::corpus::FingerprintShards), the cache is
-//! **range-partitioned by the fingerprint's top bits** into lock-striped
+//! The cache is **range-partitioned by the fingerprint's top bits** into lock-striped
 //! shards: concurrent workers only contend when they touch the same shard,
 //! any single rehash stays O(shard), and two caches (e.g. from different
 //! processes in a future sharded deployment) combine with a commutative
@@ -29,27 +27,24 @@
 //!
 //! ```
 //! use sparqlog_core::cache::AnalysisCache;
-//! use sparqlog_core::corpus::{ingest, RawLog};
-//! use sparqlog_core::{CorpusAnalysis, EngineOptions, Population};
+//! use sparqlog_core::corpus::{LogReader, MemoryLogReader};
+//! use sparqlog_core::{analyze_streams_cached, FusedOptions, Population};
 //!
-//! let log = ingest(&RawLog::new(
+//! let readers: Vec<Box<dyn LogReader>> = vec![Box::new(MemoryLogReader::new(
 //!     "example",
 //!     vec![
 //!         "SELECT ?x WHERE { ?x a <http://example.org/C> }".to_string(),
 //!         "SELECT   ?x WHERE { ?x a <http://example.org/C> }".to_string(), // duplicate
 //!         "ASK { ?x <http://example.org/p> ?y }".to_string(),
 //!     ],
-//! ));
+//! ))];
 //! let cache = AnalysisCache::new();
-//! let (corpus, _) = CorpusAnalysis::analyze_cached(
-//!     &[log],
-//!     Population::Valid,
-//!     EngineOptions::default(),
-//!     &cache,
-//! );
-//! assert_eq!(corpus.combined.keywords.total_queries, 3); // occurrences still count
+//! let fused =
+//!     analyze_streams_cached(readers, Population::Valid, FusedOptions::default(), &cache)?;
+//! assert_eq!(fused.corpus.combined.keywords.total_queries, 3); // occurrences still count
 //! let stats = cache.stats();
 //! assert_eq!((stats.distinct, stats.hits), (2, 1)); // but one analysis was reused
+//! # Ok::<(), std::io::Error>(())
 //! ```
 
 use crate::corpus::FingerprintBuildHasher;
@@ -59,7 +54,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Default shard count for [`AnalysisCache`], matching the dedup shards.
+/// Default shard count for [`AnalysisCache`].
 const CACHE_SHARDS: usize = 16;
 
 /// Cumulative counters of an [`AnalysisCache`]: how many lookups were served
@@ -129,8 +124,7 @@ impl AnalysisCache {
         self.shards.len()
     }
 
-    /// The shard a fingerprint belongs to (its top bits — the same
-    /// range partitioning as [`FingerprintShards`](crate::corpus::FingerprintShards)).
+    /// The shard a fingerprint belongs to (its top bits).
     pub fn shard_of(&self, fingerprint: u128) -> usize {
         if self.bits == 0 {
             0
@@ -173,9 +167,8 @@ impl AnalysisCache {
     /// The fused streaming engine ([`crate::fused`]) folds duplicates
     /// occurrence-weighted: workers count occurrences in lock-free local
     /// maps and consult the shared cache only once per distinct form per
-    /// worker, so the hit/miss counters alone would no longer reflect the
-    /// corpus duplication rate the way the staged engine's per-occurrence
-    /// lookups do. Crediting the locally absorbed occurrences here keeps
+    /// worker, so the hit/miss counters alone would not reflect the corpus
+    /// duplication rate the way one lookup per occurrence would. Crediting the locally absorbed occurrences here keeps
     /// `hits + misses ==` total valid-occurrence lookups — the invariant
     /// the observability tests and harness banners rely on.
     pub fn record_reused(&self, occurrences: u64) {
@@ -259,10 +252,12 @@ impl AnalysisCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sparqlog_parser::parse_query;
+    use sparqlog_parser::intern::Interner;
+    use sparqlog_parser::{parse_query_in, Arena};
 
     fn qa(text: &str) -> QueryAnalysis {
-        QueryAnalysis::of(&parse_query(text).unwrap())
+        let arena = Arena::new();
+        QueryAnalysis::of_ref(&parse_query_in(text, &arena).unwrap(), &mut Interner::new())
     }
 
     #[test]

@@ -1,48 +1,32 @@
-//! Corpus ingestion: parsing log entries, counting valid queries and
-//! removing duplicates (Table 1 of the paper).
+//! Corpus ingestion: the log readers, the Table-1 accounting and the
+//! materializing half of the test oracle.
 //!
-//! The hot path is the *streaming* engine ([`ingest_streams`]): workers pull
-//! batches of raw entries from [`LogReader`]s (in-memory slices or buffered
-//! line-oriented files), parse them, and fingerprint each query's canonical
-//! form by streaming the canonical walk straight into a 128-bit FNV-1a state
-//! ([`sparqlog_parser::canonical_fingerprint_of`]) — the canonical string is
-//! never materialized and raw entries are dropped batch by batch instead of
-//! being held fully resident. Duplicate elimination runs on
-//! fingerprint-range–partitioned [`FingerprintShards`] whose commutative
-//! merge keeps peak set growth at shard granularity, so ingestion no longer
-//! funnels through one `HashSet`.
+//! [`LogReader`]s (in-memory entry lists or buffered line-oriented files)
+//! feed the one production engine, [`analyze_streams`] (defined in
+//! [`crate::fused`] and re-exported here). Its workers pull batches of raw
+//! entries through a shared batch source, parse them, and fingerprint each
+//! query's canonical form without building the canonical string. Raw
+//! entries live only as long as their batch.
 //!
-//! [`ingest_all`] keeps the historical `&[RawLog]` API on the same
-//! streaming semantics, parsing borrowed entries in place. The seed's
-//! materializing path survives as [`ingest`] / [`ingest_all_materializing`]:
-//! it is the reference the differential tests and the `ablation_streaming`
-//! harness compare against, byte for byte.
-//!
-//! Production corpus analysis should prefer the **fused** engine
-//! ([`analyze_streams`], defined in [`crate::fused`] and re-exported here):
-//! it runs the same readers and fingerprints but analyses each batch as it
-//! parses, so no AST outlives its batch and the `IngestedLog` materialized
-//! by this module's two-phase path is never built. The staged path remains
-//! the differential baseline and the API for callers who need the parsed
-//! queries themselves.
+//! [`ingest`] is the seed's sequential, materializing path: it keeps every
+//! valid query's owned AST in an [`IngestedLog`] and deduplicates on
+//! fingerprints of materialized canonical strings. Together with
+//! [`crate::baseline::analyze_multiwalk`] it is the independent oracle the
+//! differential tests and harness gates compare the fused engine with, byte
+//! for byte. It is not a production path.
 
 use crate::recover::{reader_defect, ErrorTally, ReaderDefect, RecoveryContext, RecoveryPolicy};
 use serde::{Deserialize, Serialize};
 use sparqlog_parser::bytescan::find_newline;
-use sparqlog_parser::{
-    canonical_fingerprint_of, to_canonical_string, Arena, ErrorKind, ParseError, Query,
-};
+use sparqlog_parser::{to_canonical_string, Arena, ErrorKind, Query};
 use std::collections::HashSet;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::io::{self, BufRead, BufReader};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 pub use sparqlog_parser::{canonical_fingerprint, CanonicalHasher};
 
 // The fused ingest→analyze engine lives in [`crate::fused`] but is re-exported
-// here: it is the streaming successor of `ingest_streams` + `analyze_cached`
-// and shares this module's readers, batch source and fingerprints.
+// here: it shares this module's readers, batch source and fingerprints.
 pub use crate::fused::{
     analyze_streams, analyze_streams_cached, analyze_streams_with, FusedAnalysis, FusedOptions,
     FusedStats, LogSummary,
@@ -101,7 +85,8 @@ impl CorpusCounts {
     }
 }
 
-/// An ingested log: parsed queries plus the Table-1 counts.
+/// A log ingested by the oracle's [`ingest`]: every valid query's owned AST
+/// plus the Table-1 counts. The fused engine keeps a [`LogSummary`] instead.
 #[derive(Debug, Clone)]
 pub struct IngestedLog {
     /// The dataset label.
@@ -111,19 +96,17 @@ pub struct IngestedLog {
     /// The valid queries in log order (including duplicates).
     pub valid_queries: Vec<Query>,
     /// The 128-bit canonical fingerprint of each valid query, parallel to
-    /// `valid_queries`. Ingestion computes these for duplicate elimination
-    /// anyway; keeping them makes them the free cache key of the
-    /// fingerprint-keyed [`AnalysisCache`](crate::cache::AnalysisCache).
+    /// `valid_queries`, hashed from the materialized canonical string. Tests
+    /// compare them with the fused engine's streamed fingerprints, which
+    /// key the [`AnalysisCache`](crate::cache::AnalysisCache).
     pub fingerprints: Vec<u128>,
     /// Indices into `valid_queries` of the first occurrence of each distinct
     /// query — the *unique* corpus the paper's main analysis runs on.
     pub unique_indices: Vec<usize>,
     /// The malformed-entry tally of this log: which kinds of failures the
     /// invalid entries were (`counts.total - counts.valid` in sum), with the
-    /// earliest offending positions. The materializing entry points recover
-    /// per entry unconditionally ([`RecoveryPolicy::Lenient`] semantics —
-    /// their signatures predate the policy and cannot fail); the streaming
-    /// entry points honour [`StreamOptions::recovery`].
+    /// earliest offending positions. [`ingest`] recovers per entry
+    /// unconditionally ([`RecoveryPolicy::Lenient`] semantics).
     pub errors: ErrorTally,
 }
 
@@ -134,8 +117,8 @@ impl IngestedLog {
     }
 }
 
-/// The worker count used by the ingestion and analysis pools when no explicit
-/// count is given: the `SPARQLOG_WORKERS` environment variable if set to a
+/// The worker count used by the fused engine's pool when no explicit count
+/// is given: the `SPARQLOG_WORKERS` environment variable if set to a
 /// positive integer, otherwise the available parallelism. The override exists
 /// so CI can pin the pools to 1/2/8 workers and assert that reports stay
 /// byte-identical on real multi-core runners.
@@ -154,39 +137,26 @@ pub fn default_workers() -> usize {
 }
 
 // ---------------------------------------------------------------------------
-// The materializing reference path (seed semantics, kept for differentials).
+// The materializing half of the oracle (seed semantics).
 // ---------------------------------------------------------------------------
 
-/// Parses one entry to an owned [`Query`] through the shared recovery
-/// helper: hard resource guards, the panic drill and panic isolation all
-/// apply, and a failure comes back as a kind-classified [`ParseError`].
-/// Every per-entry parse in this module — materializing, zero-copy and
-/// streaming alike — routes through this one function, so the engines
-/// cannot drift in what they count as invalid.
-fn parse_owned(entry: &str, ctx: &RecoveryContext, arena: &mut Arena) -> Result<Query, ParseError> {
-    arena.reset();
-    let parsed = ctx.parse_entry(entry, arena, |query| query.to_owned());
-    if parsed
-        .as_ref()
-        .is_err_and(|error| error.kind == ErrorKind::WorkerPanic)
-    {
-        // The unwind may have left a partially filled chunk; release it.
-        arena.trim();
-    }
-    parsed
-}
-
-/// Folds a log's parse results (in entry order) into counts, the error
-/// tally, the query list and the fingerprint-deduplicated unique indices,
-/// materializing each canonical string before hashing it — the reference
-/// semantics.
-fn assemble(
-    label: &str,
-    total: u64,
-    parsed: impl Iterator<Item = Result<Query, ParseError>>,
-) -> IngestedLog {
+/// Parses and deduplicates one raw log sequentially, keeping every valid
+/// query's owned AST and hashing each materialized canonical string — the
+/// seed's semantics and the materializing half of the test oracle (with
+/// [`crate::baseline::analyze_multiwalk`]). The fused engine is proven
+/// byte-identical to it.
+///
+/// Every entry parses through the same guarded per-entry helper as the
+/// fused engine, so hard resource guards, the panic drill and panic
+/// isolation apply exactly as there. Recovery
+/// is per entry, unconditionally ([`RecoveryPolicy::Lenient`]): every
+/// malformed entry is tallied in [`IngestedLog::errors`] and counted as
+/// invalid.
+pub fn ingest(log: &RawLog) -> IngestedLog {
+    let ctx = RecoveryContext::new(RecoveryPolicy::Lenient);
+    let mut arena = Arena::new();
     let mut counts = CorpusCounts {
-        total,
+        total: log.entries.len() as u64,
         ..CorpusCounts::default()
     };
     let mut errors = ErrorTally::default();
@@ -194,10 +164,15 @@ fn assemble(
     let mut fingerprints = Vec::new();
     let mut unique_indices = Vec::new();
     let mut seen: HashSet<u128> = HashSet::new();
-    for (position, entry) in parsed.enumerate() {
-        let query = match entry {
+    for (position, entry) in log.entries.iter().enumerate() {
+        arena.reset();
+        let query = match ctx.parse_entry(entry, &arena, |query| query.to_owned()) {
             Ok(query) => query,
             Err(error) => {
+                if error.kind == ErrorKind::WorkerPanic {
+                    // The unwind may have left a partially filled chunk.
+                    arena.trim();
+                }
                 errors.record(error.kind, position as u64);
                 continue;
             }
@@ -207,16 +182,15 @@ fn assemble(
             counts.bodyless += 1;
         }
         let fingerprint = canonical_fingerprint(&to_canonical_string(&query));
-        let index = valid_queries.len();
+        if seen.insert(fingerprint) {
+            unique_indices.push(valid_queries.len());
+        }
         valid_queries.push(query);
         fingerprints.push(fingerprint);
-        if seen.insert(fingerprint) {
-            unique_indices.push(index);
-        }
     }
     counts.unique = unique_indices.len() as u64;
     IngestedLog {
-        label: label.to_string(),
+        label: log.label.clone(),
         counts,
         valid_queries,
         fingerprints,
@@ -225,170 +199,10 @@ fn assemble(
     }
 }
 
-/// Parses and deduplicates one raw log sequentially through the materializing
-/// path (canonical strings are built and then hashed). This is the reference
-/// implementation the streaming engine is proven byte-identical to.
-///
-/// Recovery is per entry, unconditionally (the signature predates
-/// [`RecoveryPolicy`] and cannot fail): every malformed entry — lex/syntax
-/// invalidity, tripped resource guards, caught panics — is tallied in
-/// [`IngestedLog::errors`] and counted as invalid.
-pub fn ingest(log: &RawLog) -> IngestedLog {
-    let ctx = RecoveryContext::new(RecoveryPolicy::Lenient);
-    let mut arena = Arena::new();
-    let parsed: Vec<Result<Query, ParseError>> = log
-        .entries
-        .iter()
-        .map(|entry| parse_owned(entry, &ctx, &mut arena))
-        .collect();
-    assemble(&log.label, log.entries.len() as u64, parsed.into_iter())
-}
-
-/// Entries per parse chunk: large enough to amortize scheduling, small
-/// enough that a single large log spreads over every core.
+/// Entries per batch the fused engine pulls from a reader by default: large
+/// enough to amortize the batch-source lock, small enough that a single
+/// large log spreads over every core.
 pub(crate) const INGEST_CHUNK: usize = 512;
-
-/// Parses several logs in parallel through the *materializing* path: chunked
-/// work-stealing parse, then a sequential per-log assembly that builds each
-/// canonical string and hashes it into one dedup set per log. Kept as the
-/// baseline for `ablation_streaming`; production callers should prefer
-/// [`ingest_all`] / [`ingest_streams`].
-pub fn ingest_all_materializing(logs: &[RawLog]) -> Vec<IngestedLog> {
-    let mut chunks: Vec<(usize, usize, usize)> = Vec::new();
-    for (log_index, log) in logs.iter().enumerate() {
-        let mut start = 0;
-        while start < log.entries.len() {
-            let end = (start + INGEST_CHUNK).min(log.entries.len());
-            chunks.push((log_index, start, end));
-            start = end;
-        }
-    }
-    let workers = default_workers().min(chunks.len());
-    if workers <= 1 {
-        return logs.iter().map(ingest).collect();
-    }
-
-    // (log index, chunk start, parse results for the chunk's entries).
-    type ParsedChunk = (usize, usize, Vec<Result<Query, ParseError>>);
-    let ctx = RecoveryContext::new(RecoveryPolicy::Lenient);
-    let cursor = AtomicUsize::new(0);
-    let parsed_chunks: Mutex<Vec<ParsedChunk>> = Mutex::new(Vec::with_capacity(chunks.len()));
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                let mut arena = Arena::new();
-                loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(&(log_index, start, end)) = chunks.get(i) else {
-                        break;
-                    };
-                    let parsed: Vec<Result<Query, ParseError>> = logs[log_index].entries
-                        [start..end]
-                        .iter()
-                        .map(|entry| parse_owned(entry, &ctx, &mut arena))
-                        .collect();
-                    parsed_chunks
-                        .lock()
-                        .expect("ingestion workers must not panic")
-                        .push((log_index, start, parsed));
-                }
-            });
-        }
-    });
-
-    // Reassemble per log in entry order; counting and dedup are cheap
-    // relative to parsing and stay sequential per log.
-    type LogPart = (usize, Vec<Result<Query, ParseError>>);
-    let mut per_log: Vec<Vec<LogPart>> = vec![Vec::new(); logs.len()];
-    for (log_index, start, parsed) in parsed_chunks.into_inner().expect("no poisoned workers") {
-        per_log[log_index].push((start, parsed));
-    }
-    logs.iter()
-        .zip(per_log)
-        .map(|(log, mut parts)| {
-            parts.sort_unstable_by_key(|(start, _)| *start);
-            assemble(
-                &log.label,
-                log.entries.len() as u64,
-                parts.into_iter().flat_map(|(_, parsed)| parsed),
-            )
-        })
-        .collect()
-}
-
-/// Parses several logs in parallel through the streaming semantics —
-/// zero-materialization fingerprints and sharded dedup — while parsing
-/// *borrowed* entries in place (no per-entry copy, unlike routing a
-/// `&[RawLog]` through [`SliceLogReader`]). The output is identical to
-/// mapping [`ingest`] over the logs (proven by the differential tests).
-pub fn ingest_all(logs: &[RawLog]) -> Vec<IngestedLog> {
-    let mut chunks: Vec<(usize, usize, usize)> = Vec::new();
-    for (log_index, log) in logs.iter().enumerate() {
-        let mut start = 0;
-        while start < log.entries.len() {
-            let end = (start + INGEST_CHUNK).min(log.entries.len());
-            chunks.push((log_index, start, end));
-            start = end;
-        }
-    }
-    let workers = default_workers().min(chunks.len());
-    let ctx = RecoveryContext::new(RecoveryPolicy::Lenient);
-
-    let parsed_chunks: Vec<(usize, usize, Vec<ParsedEntry>)> = if workers <= 1 {
-        let mut arena = Arena::new();
-        chunks
-            .iter()
-            .map(|&(log_index, start, end)| {
-                let parsed = parse_batch(&logs[log_index].entries[start..end], &ctx, &mut arena);
-                (log_index, start, parsed)
-            })
-            .collect()
-    } else {
-        let cursor = AtomicUsize::new(0);
-        let sink: Mutex<Vec<(usize, usize, Vec<ParsedEntry>)>> =
-            Mutex::new(Vec::with_capacity(chunks.len()));
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| {
-                    let mut arena = Arena::new();
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(&(log_index, start, end)) = chunks.get(i) else {
-                            break;
-                        };
-                        let parsed =
-                            parse_batch(&logs[log_index].entries[start..end], &ctx, &mut arena);
-                        sink.lock()
-                            .expect("ingestion workers must not panic")
-                            .push((log_index, start, parsed));
-                    }
-                });
-            }
-        });
-        sink.into_inner().expect("no poisoned workers")
-    };
-
-    let mut per_log: Vec<Vec<(usize, Vec<ParsedEntry>)>> = vec![Vec::new(); logs.len()];
-    for (log_index, start, parsed) in parsed_chunks {
-        per_log[log_index].push((start, parsed));
-    }
-    logs.iter()
-        .zip(per_log)
-        .map(|(log, mut parts)| {
-            parts.sort_unstable_by_key(|(start, _)| *start);
-            assemble_streamed(
-                log.label.clone(),
-                log.entries.len() as u64,
-                parts
-                    .into_iter()
-                    .map(|(start, parsed)| (start as u64, parsed)),
-                ErrorTally::default(),
-                DEDUP_SHARDS,
-                workers.max(1),
-            )
-        })
-        .collect()
-}
 
 // ---------------------------------------------------------------------------
 // Streaming log readers.
@@ -459,9 +273,7 @@ impl LogReader for MemoryLogReader {
 }
 
 /// A [`LogReader`] over borrowed entries (e.g. a [`RawLog`] the caller keeps
-/// owning); batches are cloned out. For `&[RawLog]` input prefer
-/// [`ingest_all`], which parses the borrowed entries in place without the
-/// per-entry copy.
+/// owning); batches are cloned out.
 #[derive(Debug)]
 pub struct SliceLogReader<'a> {
     label: &'a str,
@@ -541,7 +353,7 @@ pub struct LineLogReader<R> {
 
 impl<R: BufRead + Send> LineLogReader<R> {
     /// Creates a line reader over a buffered stream (no size hint — the
-    /// worker clamp in [`ingest_streams_with`] leaves the pool unchanged).
+    /// fused engine's worker clamp leaves the pool unchanged).
     pub fn new(label: impl Into<String>, reader: R) -> LineLogReader<R> {
         LineLogReader {
             label: label.into(),
@@ -708,254 +520,23 @@ impl Hasher for FingerprintHasher {
     }
 }
 
-/// The `BuildHasher` for fingerprint-keyed tables ([`FingerprintShards`],
-/// the [`AnalysisCache`](crate::cache::AnalysisCache)): fingerprints pass
-/// through [`FingerprintHasher`] unhashed.
+/// The `BuildHasher` for fingerprint-keyed tables (the fused engine's
+/// occurrence maps, the [`AnalysisCache`](crate::cache::AnalysisCache)):
+/// fingerprints pass through [`FingerprintHasher`] unhashed.
 pub type FingerprintBuildHasher = BuildHasherDefault<FingerprintHasher>;
 
-/// Default shard count for [`FingerprintShards`].
-const DEDUP_SHARDS: usize = 16;
-
-/// A duplicate-elimination set partitioned by fingerprint range: shard `i`
-/// holds the fingerprints whose top bits equal `i`. Partitioning bounds the
-/// peak cost of any single rehash to one shard (O(shard) rather than O(set)),
-/// lets shards be filled independently (the streaming engine dedups shards in
-/// parallel), and merging two sharded sets is a commutative shard-wise union.
-#[derive(Debug, Clone)]
-pub struct FingerprintShards {
-    shards: Vec<HashSet<u128, FingerprintBuildHasher>>,
-    bits: u32,
-}
-
-impl Default for FingerprintShards {
-    fn default() -> FingerprintShards {
-        FingerprintShards::new(DEDUP_SHARDS)
-    }
-}
-
-impl FingerprintShards {
-    /// Creates a sharded set with `shard_count` shards, rounded up to a power
-    /// of two (minimum 1).
-    pub fn new(shard_count: usize) -> FingerprintShards {
-        let count = shard_count.max(1).next_power_of_two();
-        FingerprintShards {
-            shards: (0..count).map(|_| HashSet::default()).collect(),
-            bits: count.trailing_zeros(),
-        }
-    }
-
-    /// The number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The shard a fingerprint belongs to (its top bits).
-    pub fn shard_of(&self, fingerprint: u128) -> usize {
-        if self.bits == 0 {
-            0
-        } else {
-            (fingerprint >> (128 - self.bits)) as usize
-        }
-    }
-
-    /// Inserts a fingerprint; returns `true` if it was not present.
-    pub fn insert(&mut self, fingerprint: u128) -> bool {
-        let shard = self.shard_of(fingerprint);
-        self.shards[shard].insert(fingerprint)
-    }
-
-    /// Whether the fingerprint is present.
-    pub fn contains(&self, fingerprint: u128) -> bool {
-        self.shards[self.shard_of(fingerprint)].contains(&fingerprint)
-    }
-
-    /// Total number of distinct fingerprints.
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(HashSet::len).sum()
-    }
-
-    /// Whether the set is empty.
-    pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(HashSet::is_empty)
-    }
-
-    /// The occupancy of the fullest shard — the peak working-set granularity.
-    pub fn max_shard_len(&self) -> usize {
-        self.shards.iter().map(HashSet::len).max().unwrap_or(0)
-    }
-
-    /// Merges another sharded set into this one (set union). The operation is
-    /// commutative and associative, so per-worker or per-log sets can be
-    /// combined in any order with identical results.
-    pub fn merge(&mut self, other: FingerprintShards) {
-        if other.bits == self.bits {
-            for (mine, theirs) in self.shards.iter_mut().zip(other.shards) {
-                if mine.is_empty() {
-                    *mine = theirs;
-                } else {
-                    mine.extend(theirs);
-                }
-            }
-        } else {
-            for shard in other.shards {
-                for fingerprint in shard {
-                    self.insert(fingerprint);
-                }
-            }
-        }
-    }
-
-    /// Installs a filled shard (used by the parallel dedup pass, which builds
-    /// shard sets independently).
-    fn install(&mut self, shard: usize, set: HashSet<u128, FingerprintBuildHasher>) {
-        self.shards[shard] = set;
-    }
-}
-
-/// Computes, for a fingerprint sequence in entry order, which positions are
-/// first occurrences, deduplicating shard by shard — in parallel when more
-/// than one worker is available. Returns the flags and the filled shard set.
-///
-/// Correctness of the parallel pass: whether position `i` is a first
-/// occurrence depends only on earlier positions with the *same* fingerprint,
-/// and equal fingerprints always land in the same shard, so shards are
-/// independent and each shard processes its positions in ascending order.
-fn first_occurrences(
-    fingerprints: &[u128],
-    shard_count: usize,
-    workers: usize,
-) -> (Vec<bool>, FingerprintShards) {
-    // Positions are bucketed as u32 to halve the bucket memory; make the
-    // limit explicit rather than silently wrapping on absurdly large logs.
-    assert!(
-        fingerprints.len() <= u32::MAX as usize,
-        "sharded dedup supports at most u32::MAX valid queries per log"
-    );
-    let mut shards = FingerprintShards::new(shard_count);
-    let mut first = vec![false; fingerprints.len()];
-
-    // Bucket positions by shard (cheap, sequential, preserves order).
-    let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); shards.shard_count()];
-    for (position, &fingerprint) in fingerprints.iter().enumerate() {
-        buckets[shards.shard_of(fingerprint)].push(position as u32);
-    }
-
-    let occupied = buckets.iter().filter(|b| !b.is_empty()).count();
-    let workers = workers.clamp(1, occupied.max(1));
-    if workers == 1 {
-        for (shard, bucket) in buckets.iter().enumerate() {
-            let mut set: HashSet<u128, FingerprintBuildHasher> =
-                HashSet::with_capacity_and_hasher(bucket.len(), FingerprintBuildHasher::default());
-            for &position in bucket {
-                first[position as usize] = set.insert(fingerprints[position as usize]);
-            }
-            shards.install(shard, set);
-        }
-        return (first, shards);
-    }
-
-    // Parallel pass: workers claim shards off an atomic cursor and return
-    // (shard, set, per-position flags); flags are scattered afterwards.
-    type ShardResult = (usize, HashSet<u128, FingerprintBuildHasher>, Vec<bool>);
-    let cursor = AtomicUsize::new(0);
-    let results: Mutex<Vec<ShardResult>> = Mutex::new(Vec::with_capacity(buckets.len()));
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let shard = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(bucket) = buckets.get(shard) else {
-                    break;
-                };
-                let mut set: HashSet<u128, FingerprintBuildHasher> =
-                    HashSet::with_capacity_and_hasher(
-                        bucket.len(),
-                        FingerprintBuildHasher::default(),
-                    );
-                let flags: Vec<bool> = bucket
-                    .iter()
-                    .map(|&position| set.insert(fingerprints[position as usize]))
-                    .collect();
-                results
-                    .lock()
-                    .expect("dedup workers must not panic")
-                    .push((shard, set, flags));
-            });
-        }
-    });
-    for (shard, set, flags) in results.into_inner().expect("no poisoned dedup workers") {
-        for (&position, flag) in buckets[shard].iter().zip(flags) {
-            first[position as usize] = flag;
-        }
-        shards.install(shard, set);
-    }
-    (first, shards)
-}
-
-// ---------------------------------------------------------------------------
-// The streaming ingestion engine.
-// ---------------------------------------------------------------------------
-
-/// Tuning knobs for the streaming ingestion engine. Apart from the recovery
-/// policy — which decides whether a defective run fails at all — the result
-/// never depends on them; only the schedule and the memory profile do.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StreamOptions {
-    /// Worker threads; `0` uses [`default_workers`] (which honours the
-    /// `SPARQLOG_WORKERS` environment override).
-    pub workers: usize,
-    /// Entries per batch pulled from a reader; `0` picks the default (512).
-    pub batch: usize,
-    /// Dedup shards per log; `0` picks the default (16).
-    pub shards: usize,
-    /// What to do on defective entries (invalid UTF-8 lines, tripped
-    /// resource guards, caught panics); see [`RecoveryPolicy`].
-    pub recovery: RecoveryPolicy,
-}
-
-impl StreamOptions {
-    fn resolve(&self) -> (usize, usize, usize) {
-        (
-            if self.workers > 0 {
-                self.workers
-            } else {
-                default_workers()
-            },
-            if self.batch > 0 {
-                self.batch
-            } else {
-                INGEST_CHUNK
-            },
-            if self.shards > 0 {
-                self.shards
-            } else {
-                DEDUP_SHARDS
-            },
-        )
-    }
-}
-
-/// One parsed entry: the query and its streamed canonical fingerprint when
-/// the entry was valid SPARQL, or the kind-classified parse failure.
-type ParsedEntry = Result<(Query, u128), ParseError>;
-
-/// A parsed batch tagged with (log index, batch sequence number, entry
-/// start position).
-type ParsedBatch = (usize, usize, u64, Vec<ParsedEntry>);
-
-/// The tag of one claimed batch: which log it belongs to, its sequence
-/// number within that log, and the 0-based position of its first entry.
-/// Positions are assigned here, under the single batch-source lock, which
+/// The tag of one claimed batch: which log it belongs to and the 0-based
+/// position of its first entry. Positions are assigned here, under the single batch-source lock, which
 /// is what makes error-exemplar positions identical for every worker count
 /// and batch schedule.
-pub(crate) type BatchTag = (usize, usize, u64);
+pub(crate) type BatchTag = (usize, u64);
 
 /// The shared batch dispenser: readers are drained one batch at a time under
-/// a short lock; parsing and fingerprinting happen outside it. Shared with
-/// the fused streaming engine ([`crate::fused`]).
+/// a short lock; parsing, fingerprinting and analysis happen outside it, in
+/// the fused engine's workers ([`crate::fused`]).
 pub(crate) struct BatchSource<'a> {
     pub(crate) readers: Vec<Box<dyn LogReader + 'a>>,
     pub(crate) current: usize,
-    pub(crate) sequence: usize,
     pub(crate) totals: Vec<u64>,
     pub(crate) batch_size: usize,
     /// Whether reader-level defects (malformed lines) recover: tallied
@@ -976,7 +557,6 @@ impl<'a> BatchSource<'a> {
         BatchSource {
             readers,
             current: 0,
-            sequence: 0,
             totals: vec![0; log_count],
             batch_size,
             recover,
@@ -1002,14 +582,11 @@ impl<'a> BatchSource<'a> {
             match self.readers[self.current].read_batch(batch, self.batch_size) {
                 Ok(0) => {
                     self.current += 1;
-                    self.sequence = 0;
                 }
                 Ok(appended) => {
                     let start = self.totals[self.current];
                     self.totals[self.current] += appended as u64;
-                    let tag = (self.current, self.sequence, start);
-                    self.sequence += 1;
-                    return Ok(Some(tag));
+                    return Ok(Some((self.current, start)));
                 }
                 Err(error) => {
                     // Lines read before the defect are already in `batch`.
@@ -1021,9 +598,7 @@ impl<'a> BatchSource<'a> {
                         // its own, after the lines that preceded it.
                         self.totals[self.current] += appended + 1;
                         if appended > 0 {
-                            let tag = (self.current, self.sequence, start);
-                            self.sequence += 1;
-                            return Ok(Some(tag));
+                            return Ok(Some((self.current, start)));
                         }
                         continue;
                     }
@@ -1035,98 +610,11 @@ impl<'a> BatchSource<'a> {
     }
 }
 
-/// Parses one batch through the shared guarded per-entry helper: each valid
-/// entry is fingerprinted by streaming its canonical form into the FNV
-/// state — no canonical string — and each failure keeps its kind-classified
-/// error for the caller's policy to tally or abort on.
-fn parse_batch(batch: &[String], ctx: &RecoveryContext, arena: &mut Arena) -> Vec<ParsedEntry> {
-    batch
-        .iter()
-        .map(|entry| {
-            parse_owned(entry, ctx, arena).map(|query| {
-                let fingerprint = canonical_fingerprint_of(&query);
-                (query, fingerprint)
-            })
-        })
-        .collect()
-}
-
-/// Scans a parsed batch for a failure the policy cannot recover from and
-/// builds the structured strict-mode error (log label, entry position,
-/// underlying parse error). Shared by the staged and fused worker loops.
-fn fatal_in_batch(
-    parsed: &[ParsedEntry],
-    ctx: &RecoveryContext,
-    label: &str,
-    start: u64,
-) -> Option<io::Error> {
-    parsed.iter().enumerate().find_map(|(offset, entry)| {
-        entry
-            .as_ref()
-            .err()
-            .filter(|error| ctx.fatal(error.kind))
-            .map(|error| ctx.fatal_error(label, start + offset as u64, error))
-    })
-}
-
-/// Folds one log's parsed entries (already restored to entry order, each
-/// part tagged with its start position) into an [`IngestedLog`] through the
-/// sharded first-occurrence dedup, tallying parse failures at their batch
-/// positions on top of the reader-level tally. Shared by the streaming
-/// engine and the zero-copy [`ingest_all`] wrapper.
-fn assemble_streamed(
-    label: String,
-    total: u64,
-    parts: impl IntoIterator<Item = (u64, Vec<ParsedEntry>)>,
-    mut errors: ErrorTally,
-    shard_count: usize,
-    workers: usize,
-) -> IngestedLog {
-    let mut counts = CorpusCounts {
-        total,
-        ..CorpusCounts::default()
-    };
-    let mut valid_queries = Vec::new();
-    let mut fingerprints = Vec::new();
-    for (start, parsed) in parts {
-        for (offset, entry) in parsed.into_iter().enumerate() {
-            match entry {
-                Ok((query, fingerprint)) => {
-                    counts.valid += 1;
-                    if !query.has_body() {
-                        counts.bodyless += 1;
-                    }
-                    valid_queries.push(query);
-                    fingerprints.push(fingerprint);
-                }
-                Err(error) => {
-                    errors.record(error.kind, start + offset as u64);
-                }
-            }
-        }
-    }
-    let (first, _shards) = first_occurrences(&fingerprints, shard_count, workers);
-    let unique_indices: Vec<usize> = first
-        .iter()
-        .enumerate()
-        .filter_map(|(index, &is_first)| is_first.then_some(index))
-        .collect();
-    counts.unique = unique_indices.len() as u64;
-    IngestedLog {
-        label,
-        counts,
-        valid_queries,
-        fingerprints,
-        unique_indices,
-        errors,
-    }
-}
-
 /// When every reader can say how much work remains, don't spawn more workers
 /// than there are batches (a 4-entry quickstart log on a 64-core machine
 /// needs one worker, not 64 no-op threads). Batches never span readers, so
 /// the batch count is the *per-reader* sum of ceilings — eight 100-entry
-/// logs are eight claimable batches, not one. Shared with the fused engine.
+/// logs are eight claimable batches, not one.
 pub(crate) fn clamp_workers(
     readers: &[Box<dyn LogReader + '_>],
     workers: usize,
@@ -1141,122 +629,6 @@ pub(crate) fn clamp_workers(
         Some(batches) => workers.min(batches.max(1)),
         None => workers,
     }
-}
-
-/// Streams every reader through the ingestion pipeline with default options.
-///
-/// Equivalent to [`ingest`] on a fully materialized log, but raw entries live
-/// only for the duration of their batch, canonical strings are never built,
-/// and duplicate elimination runs on fingerprint-range shards.
-pub fn ingest_streams(readers: Vec<Box<dyn LogReader + '_>>) -> io::Result<Vec<IngestedLog>> {
-    ingest_streams_with(readers, StreamOptions::default())
-}
-
-/// Streams every reader through the ingestion pipeline with explicit options.
-/// The output is identical for any worker count, batch size or shard count.
-pub fn ingest_streams_with(
-    readers: Vec<Box<dyn LogReader + '_>>,
-    options: StreamOptions,
-) -> io::Result<Vec<IngestedLog>> {
-    let (workers, batch_size, shard_count) = options.resolve();
-    let workers = clamp_workers(&readers, workers, batch_size);
-    let ctx = RecoveryContext::new(options.recovery);
-    let labels: Vec<String> = readers.iter().map(|r| r.label().to_string()).collect();
-    let log_count = readers.len();
-    let mut source = BatchSource::new(readers, batch_size, ctx.policy.recovers());
-
-    let parsed_batches: Vec<ParsedBatch> = if workers <= 1 {
-        let mut parsed_batches = Vec::new();
-        let mut batch = Vec::new();
-        let mut arena = Arena::new();
-        while let Some((log_index, sequence, start)) = source.next_batch(&mut batch)? {
-            let parsed = parse_batch(&batch, &ctx, &mut arena);
-            if let Some(error) = fatal_in_batch(&parsed, &ctx, &labels[log_index], start) {
-                return Err(error);
-            }
-            parsed_batches.push((log_index, sequence, start, parsed));
-            batch.clear();
-        }
-        parsed_batches
-    } else {
-        let source = Mutex::new(&mut source);
-        let sink: Mutex<Vec<ParsedBatch>> = Mutex::new(Vec::new());
-        let failure: Mutex<Option<io::Error>> = Mutex::new(None);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| {
-                    let mut batch = Vec::new();
-                    let mut arena = Arena::new();
-                    loop {
-                        batch.clear();
-                        let claimed = source
-                            .lock()
-                            .expect("ingestion workers must not panic")
-                            .next_batch(&mut batch);
-                        match claimed {
-                            Ok(Some((log_index, sequence, start))) => {
-                                let parsed = parse_batch(&batch, &ctx, &mut arena);
-                                if let Some(error) =
-                                    fatal_in_batch(&parsed, &ctx, &labels[log_index], start)
-                                {
-                                    failure
-                                        .lock()
-                                        .expect("ingestion workers must not panic")
-                                        .get_or_insert(error);
-                                    break;
-                                }
-                                sink.lock()
-                                    .expect("ingestion workers must not panic")
-                                    .push((log_index, sequence, start, parsed));
-                            }
-                            Ok(None) => break,
-                            Err(error) => {
-                                failure
-                                    .lock()
-                                    .expect("ingestion workers must not panic")
-                                    .get_or_insert(error);
-                                break;
-                            }
-                        }
-                    }
-                });
-            }
-        });
-        if let Some(error) = failure.into_inner().expect("no poisoned workers") {
-            return Err(error);
-        }
-        sink.into_inner().expect("no poisoned workers")
-    };
-
-    // Group the parsed batches per log and restore entry order.
-    let mut per_log: Vec<Vec<(usize, u64, Vec<ParsedEntry>)>> = vec![Vec::new(); log_count];
-    for (log_index, sequence, start, parsed) in parsed_batches {
-        per_log[log_index].push((sequence, start, parsed));
-    }
-
-    let mut logs = Vec::with_capacity(log_count);
-    for (log_index, (label, mut parts)) in labels.into_iter().zip(per_log).enumerate() {
-        parts.sort_unstable_by_key(|&(sequence, _, _)| sequence);
-        logs.push(assemble_streamed(
-            label,
-            source.totals[log_index],
-            parts.into_iter().map(|(_, start, parsed)| (start, parsed)),
-            std::mem::take(&mut source.tallies[log_index]),
-            shard_count,
-            workers,
-        ));
-    }
-
-    // The budget check runs once, over the merged end-of-run tallies, so
-    // the staged pipeline reaches the same verdict as every other engine.
-    let mut combined = ErrorTally::default();
-    let mut total = 0u64;
-    for log in &logs {
-        combined.merge(&log.errors);
-        total += log.counts.total;
-    }
-    crate::recover::enforce_budget(ctx.policy, &combined, total)?;
-    Ok(logs)
 }
 
 #[cfg(test)]
@@ -1296,89 +668,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_ingestion_matches_sequential() {
-        let logs = vec![
-            raw(&["SELECT ?x WHERE { ?x a <http://C> }", "garbage"]),
-            raw(&["ASK { ?x <http://p> ?y }", "ASK { ?x <http://p> ?y }"]),
-            raw(&["DESCRIBE <http://r>"]),
-        ];
-        let parallel = ingest_all(&logs);
-        let sequential: Vec<IngestedLog> = logs.iter().map(ingest).collect();
-        assert_eq!(parallel.len(), sequential.len());
-        for (p, s) in parallel.iter().zip(sequential.iter()) {
-            assert_eq!(p.counts, s.counts);
-            assert_eq!(p.unique_indices, s.unique_indices);
-        }
-    }
-
-    #[test]
-    fn parallel_ingestion_spreads_one_large_log() {
-        // A single log much larger than one chunk: the pool must still
-        // reassemble it in order with correct dedup accounting.
-        let mut entries = Vec::new();
-        for i in 0..(INGEST_CHUNK * 3 + 17) {
-            entries.push(format!("SELECT ?x WHERE {{ ?x <http://p{}> ?y }}", i % 700));
-        }
-        let log = RawLog::new("big", entries);
-        let parallel = ingest_all(std::slice::from_ref(&log));
-        let sequential = ingest(&log);
-        assert_eq!(parallel[0].counts, sequential.counts);
-        assert_eq!(parallel[0].unique_indices, sequential.unique_indices);
-        assert_eq!(parallel[0].counts.unique, 700);
-    }
-
-    #[test]
-    fn materializing_pool_matches_sequential() {
-        let logs = vec![
-            raw(&["SELECT ?x WHERE { ?x a <http://C> }", "garbage"]),
-            raw(&["ASK { ?x <http://p> ?y }", "ASK { ?x <http://p> ?y }"]),
-        ];
-        let pooled = ingest_all_materializing(&logs);
-        let sequential: Vec<IngestedLog> = logs.iter().map(ingest).collect();
-        for (p, s) in pooled.iter().zip(sequential.iter()) {
-            assert_eq!(p.counts, s.counts);
-            assert_eq!(p.unique_indices, s.unique_indices);
-        }
-    }
-
-    #[test]
-    fn streaming_with_tiny_batches_matches_sequential() {
-        let logs = [
-            raw(&[
-                "SELECT ?x WHERE { ?x a <http://C> }",
-                "SELECT ?x WHERE { ?x a <http://C> }",
-                "garbage",
-                "ASK { ?x <http://p> ?y }",
-            ]),
-            raw(&["DESCRIBE <http://r>"]),
-        ];
-        for workers in [1, 2, 8] {
-            for batch in [1, 2, 64] {
-                let readers: Vec<Box<dyn LogReader + '_>> = logs
-                    .iter()
-                    .map(|l| Box::new(SliceLogReader::of(l)) as Box<dyn LogReader + '_>)
-                    .collect();
-                let streamed = ingest_streams_with(
-                    readers,
-                    StreamOptions {
-                        workers,
-                        batch,
-                        shards: 4,
-                        recovery: RecoveryPolicy::default(),
-                    },
-                )
-                .unwrap();
-                let sequential: Vec<IngestedLog> = logs.iter().map(ingest).collect();
-                for (a, b) in streamed.iter().zip(&sequential) {
-                    assert_eq!(a.counts, b.counts, "workers {workers}, batch {batch}");
-                    assert_eq!(a.unique_indices, b.unique_indices);
-                    assert_eq!(a.valid_queries, b.valid_queries);
-                }
-            }
-        }
-    }
-
-    #[test]
     fn fingerprint_reexports_reach_the_parser_implementation() {
         // Behaviour is covered in parser::display; this only pins the
         // compatibility re-exports.
@@ -1390,62 +679,6 @@ mod tests {
         let mut hasher = CanonicalHasher::new();
         let _ = std::fmt::Write::write_str(&mut hasher, canonical);
         assert_eq!(hasher.finish(), canonical_fingerprint(canonical));
-    }
-
-    #[test]
-    fn fingerprint_shards_partition_and_merge() {
-        let mut shards = FingerprintShards::new(4);
-        assert_eq!(shards.shard_count(), 4);
-        assert!(shards.insert(1));
-        assert!(!shards.insert(1));
-        assert!(shards.insert(u128::MAX));
-        assert_eq!(shards.len(), 2);
-        assert!(shards.contains(1));
-        assert!(!shards.contains(2));
-        // The top bits pick the shard.
-        assert_eq!(shards.shard_of(0), 0);
-        assert_eq!(shards.shard_of(u128::MAX), 3);
-
-        // Commutative merge: build the same set in two halves, both orders.
-        let fps: Vec<u128> = (0..64u128)
-            .map(|i| i.wrapping_mul(0x9e37_79b9) << 96)
-            .collect();
-        let mut left = FingerprintShards::new(4);
-        let mut right = FingerprintShards::new(4);
-        for (i, &fp) in fps.iter().enumerate() {
-            if i % 2 == 0 {
-                left.insert(fp);
-            } else {
-                right.insert(fp);
-            }
-        }
-        let mut ab = left.clone();
-        ab.merge(right.clone());
-        let mut ba = right;
-        ba.merge(left);
-        assert_eq!(ab.len(), ba.len());
-        for &fp in &fps {
-            assert!(ab.contains(fp) && ba.contains(fp));
-        }
-        assert!(ab.max_shard_len() <= ab.len());
-    }
-
-    #[test]
-    fn first_occurrences_agree_across_worker_counts() {
-        // Fingerprints spread over every shard, with duplicates both adjacent
-        // and far apart.
-        let mut fps: Vec<u128> = (0..500u128).map(|i| ((i % 97) << 121) | (i % 13)).collect();
-        fps.extend_from_slice(&fps.clone());
-        let (reference, reference_set) = first_occurrences(&fps, 16, 1);
-        for workers in [2, 4, 8] {
-            let (flags, set) = first_occurrences(&fps, 16, workers);
-            assert_eq!(reference, flags, "workers {workers}");
-            assert_eq!(reference_set.len(), set.len());
-        }
-        assert_eq!(
-            reference.iter().filter(|&&f| f).count(),
-            reference_set.len()
-        );
     }
 
     #[test]

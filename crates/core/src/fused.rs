@@ -1,46 +1,40 @@
-//! The fused ingest→analyze streaming engine: each batch is analysed as it
-//! parses, and no query AST ever outlives its batch.
+//! The fused ingest→analyze streaming engine — the one production engine:
+//! each batch is analysed as it parses, and no query AST ever outlives its
+//! batch.
 //!
-//! The staged pipeline ([`ingest_streams`](crate::corpus::ingest_streams)
-//! followed by
-//! [`CorpusAnalysis::analyze_cached`](crate::analysis::CorpusAnalysis::analyze_cached))
-//! materializes every valid query's AST in
-//! [`IngestedLog::valid_queries`](crate::corpus::IngestedLog) before the
-//! analysis engine runs — a two-phase design whose peak memory is
-//! O(corpus) and whose parse pool idles during analysis (and vice versa).
-//! [`analyze_streams`] fuses the phases into one self-scheduling worker
-//! pool: workers pull batches from [`LogReader`]s, parse each entry,
-//! fingerprint its canonical form, and immediately resolve the occurrence
-//! against a lock-free per-worker occurrence map backed by the shared
-//! [`AnalysisCache`]:
+//! [`analyze_streams`] runs one self-scheduling worker pool: workers pull
+//! batches from [`LogReader`]s, parse each entry into a per-worker bump
+//! arena, fingerprint its canonical form, and immediately resolve the
+//! occurrence against a lock-free per-worker occurrence map backed by the
+//! shared [`AnalysisCache`]:
 //!
 //! * a **first occurrence** is analysed on the spot (one
 //!   [`QueryAnalysis`] through the worker's term
 //!   [`Interner`](sparqlog_parser::intern)) and memoized under its
 //!   fingerprint — only the fingerprint and the analysis survive;
 //! * a **duplicate occurrence** bumps a per-worker occurrence counter and
-//!   its AST is dropped right there — it is never pushed into a
-//!   corpus-wide vec, never re-fingerprinted, never re-folded.
+//!   its AST is dropped right there — it is never re-fingerprinted or
+//!   re-folded.
 //!
 //! After the stream drains, per-worker occurrence maps merge into per-log
 //! [`LogSummary`] records (Table-1 counts plus the distinct fingerprints
-//! with their occurrence counts — the shard-ready replacement for AST
-//! retention), and one **occurrence-weighted fold**
+//! with their occurrence counts), and one **occurrence-weighted fold**
 //! ([`DatasetAnalysis::add_times`]) builds the corpus analysis: the Unique
 //! population folds each distinct fingerprint once per log, the Valid
 //! population folds it with its occurrence count. Peak residency is
-//! O(in-flight batches + distinct analyses) instead of O(corpus), each
-//! worker holds at most one AST at a time, and parse/analyze overlap
-//! recovers the wall-clock the staged pipeline wastes at its phase
-//! barrier.
+//! O(in-flight batches + distinct analyses), not O(corpus), and each worker
+//! holds at most one AST at a time.
 //!
 //! **Determinism and parity.** Every fold is a commutative sum or an
 //! idempotent extremum over exact integers, so reports are byte-identical
-//! for any worker count, batch size or schedule — and byte-identical to
-//! the staged pipeline's, which survives as the differential baseline
-//! (`tests/fused.rs`, the `ablation_fused` harness). The soundness of
-//! folding a memoized record for every occurrence is the cache-key
-//! argument of [`crate::cache`]: the fingerprint *is* the canonical form.
+//! for any worker count, batch size or schedule. They are also
+//! byte-identical to the independent oracle — the materializing
+//! [`ingest`](crate::corpus::ingest) followed by the seed multi-walk
+//! [`analyze_multiwalk`](crate::baseline::analyze_multiwalk) — which
+//! `tests/fused.rs`, `tests/differential.rs` and the `ablation_fused`
+//! harness check. The soundness of folding a memoized record for every
+//! occurrence is the cache-key argument of [`crate::cache`]: the
+//! fingerprint *is* the canonical form.
 //!
 //! ```
 //! use sparqlog_core::corpus::{analyze_streams, LogReader, MemoryLogReader};
@@ -201,8 +195,8 @@ pub struct FusedStats {
     /// Batches pulled from the readers.
     pub batches: u64,
     /// The largest number of raw entries resident in worker batches at any
-    /// instant — the in-flight bound (≤ workers × batch size) that replaces
-    /// the staged pipeline's O(corpus) residency. Each worker additionally
+    /// instant — the in-flight bound (≤ workers × batch size), independent
+    /// of corpus size. Each worker additionally
     /// holds at most **one** parsed AST at a time.
     pub peak_inflight_entries: usize,
     /// Distinct canonical forms seen by *this run's* streams (what survives
@@ -218,7 +212,7 @@ pub struct FusedStats {
 pub struct FusedAnalysis {
     /// Per-log summaries, in reader order.
     pub summaries: Vec<LogSummary>,
-    /// The corpus analysis (byte-identical to the staged pipeline's).
+    /// The corpus analysis (byte-identical to the oracle's).
     pub corpus: CorpusAnalysis,
     /// Cache and interner counters of the run.
     pub stats: AnalysisStats,
@@ -265,8 +259,8 @@ impl FusedWorker {
     /// ([`RecoveryContext::parse_entry`]): resource-guard trips and caught
     /// panics either abort with a structured error (strict mode) or are
     /// tallied at the entry's batch-assigned position; plain lex/syntax
-    /// failures are tallied in every mode, exactly as the staged pipeline
-    /// counts them.
+    /// failures are tallied in every mode, exactly as the oracle's
+    /// [`ingest`](crate::corpus::ingest) counts them.
     fn process_batch(
         &mut self,
         log_index: usize,
@@ -313,10 +307,9 @@ impl FusedWorker {
 /// Streams every reader through the fused ingest→analyze pipeline with
 /// default options and a run-scoped [`AnalysisCache`].
 ///
-/// Equivalent to [`ingest_streams`](crate::corpus::ingest_streams) followed
-/// by [`CorpusAnalysis::analyze_cached`] — proven byte-identical by
-/// `tests/fused.rs` — but no AST survives its batch and the two phases
-/// share one worker pool.
+/// Byte-identical to the oracle ([`ingest`](crate::corpus::ingest) then
+/// [`analyze_multiwalk`](crate::baseline::analyze_multiwalk)), as
+/// `tests/fused.rs` checks, but no AST survives its batch.
 pub fn analyze_streams(
     readers: Vec<Box<dyn LogReader + '_>>,
     population: Population,
@@ -374,99 +367,68 @@ pub fn analyze_streams_cached(
         inflight.fetch_sub(entries, Ordering::Relaxed);
     };
 
-    let states: Vec<FusedWorker> = if workers == 1 {
+    // One worker body for every pool size. Worker 0 runs on the calling
+    // thread, so a 1-worker run (shard and serve worker processes) spawns no
+    // thread; helpers 1.. run on scoped threads. The first error wins, and
+    // every worker drains out once the source reports exhaustion or failure.
+    let source = Mutex::new(&mut source);
+    let failure: Mutex<Option<io::Error>> = Mutex::new(None);
+    let fail = |error: io::Error| {
+        failure
+            .lock()
+            .expect("fused workers must not panic")
+            .get_or_insert(error);
+    };
+    let run_worker = || {
         let mut worker = FusedWorker::new(log_count);
         let mut batch = Vec::new();
         loop {
+            batch.clear();
             let claimed = {
                 let _read_span = read_us.span();
-                source.next_batch(&mut batch)?
+                source
+                    .lock()
+                    .expect("fused workers must not panic")
+                    .next_batch(&mut batch)
             };
-            let Some((log_index, _sequence, start)) = claimed else {
-                break;
+            let (log_index, start) = match claimed {
+                Ok(Some(tag)) => tag,
+                Ok(None) => break,
+                Err(error) => {
+                    fail(error);
+                    break;
+                }
             };
             note_claimed(batch.len());
             if metrics_on {
                 read_bytes.add(batch.iter().map(|entry| entry.len() as u64).sum());
             }
-            {
+            let processed = {
                 let _parse_span = parse_us.span();
-                worker.process_batch(log_index, start, &batch, cache, &ctx, &labels[log_index])?;
-            }
+                worker.process_batch(log_index, start, &batch, cache, &ctx, &labels[log_index])
+            };
             note_done(batch.len());
-            batch.clear();
+            if let Err(error) = processed {
+                fail(error);
+                break;
+            }
         }
-        vec![worker]
-    } else {
-        let source = Mutex::new(&mut source);
-        let failure: Mutex<Option<io::Error>> = Mutex::new(None);
-        let states = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut worker = FusedWorker::new(log_count);
-                        let mut batch = Vec::new();
-                        loop {
-                            batch.clear();
-                            let claimed = {
-                                let _read_span = read_us.span();
-                                source
-                                    .lock()
-                                    .expect("fused workers must not panic")
-                                    .next_batch(&mut batch)
-                            };
-                            match claimed {
-                                Ok(Some((log_index, _sequence, start))) => {
-                                    note_claimed(batch.len());
-                                    if metrics_on {
-                                        read_bytes.add(
-                                            batch.iter().map(|entry| entry.len() as u64).sum(),
-                                        );
-                                    }
-                                    let processed = {
-                                        let _parse_span = parse_us.span();
-                                        worker.process_batch(
-                                            log_index,
-                                            start,
-                                            &batch,
-                                            cache,
-                                            &ctx,
-                                            &labels[log_index],
-                                        )
-                                    };
-                                    note_done(batch.len());
-                                    if let Err(error) = processed {
-                                        failure
-                                            .lock()
-                                            .expect("fused workers must not panic")
-                                            .get_or_insert(error);
-                                        break;
-                                    }
-                                }
-                                Ok(None) => break,
-                                Err(error) => {
-                                    failure
-                                        .lock()
-                                        .expect("fused workers must not panic")
-                                        .get_or_insert(error);
-                                    break;
-                                }
-                            }
-                        }
-                        worker
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("fused workers must not panic"))
-                .collect()
-        });
-        if let Some(error) = failure.into_inner().expect("no poisoned workers") {
-            return Err(error);
-        }
-        states
+        worker
     };
+    let states: Vec<FusedWorker> = std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(run_worker)).collect();
+        let mut states = vec![run_worker()];
+        states.extend(
+            helpers
+                .into_iter()
+                .map(|h| h.join().expect("fused workers must not panic")),
+        );
+        states
+    });
+    if let Some(error) = failure.into_inner().expect("no poisoned workers") {
+        return Err(error);
+    }
+    let source = source.into_inner().expect("no poisoned workers");
 
     // Merge the per-worker occurrence maps and error tallies per log
     // (commutative, so worker order is irrelevant), collect counters. The
@@ -555,7 +517,7 @@ pub fn analyze_streams_cached(
 
     // Duplicate occurrences were absorbed by the local maps without touching
     // the shared cache; credit them so `hits + misses` still equals the
-    // number of valid occurrences, as in the staged engine.
+    // number of valid occurrences.
     let valid_total: u64 = summaries.iter().map(|s| s.counts.valid).sum();
     cache.record_reused(valid_total - lookups);
 
@@ -614,9 +576,8 @@ pub fn analyze_streams_cached(
 /// its memoized analysis exactly once — with weight 1 on the Unique
 /// population ("distinct fingerprints") and with its occurrence count on the
 /// Valid population. O(distinct) tally work regardless of duplication,
-/// parallelised over the same chunked self-scheduling pattern as the staged
-/// engine; the weighted adds are exact integer sums, so any schedule yields
-/// the same bytes.
+/// parallelised over a chunked self-scheduling pool; the weighted adds are
+/// exact integer sums, so any schedule yields the same bytes.
 fn fold_populations(
     summaries: &[LogSummary],
     population: Population,
@@ -634,13 +595,12 @@ fn fold_populations(
         })
         .collect();
     let chunk_size = (items.len() / (workers * 8).max(1)).clamp(16, 1024);
-    let results = chunked_fold_pool(
+    let accumulators = chunked_fold_pool(
         &items,
         summaries.len(),
         workers,
         chunk_size,
-        || (),
-        |acc, (), &(log_index, fingerprint, count)| {
+        |acc, &(log_index, fingerprint, count)| {
             let weight = match population {
                 Population::Unique => 1,
                 Population::Valid => count,
@@ -658,14 +618,13 @@ fn fold_populations(
             ..DatasetAnalysis::default()
         })
         .collect();
-    let accumulators: Vec<Vec<DatasetAnalysis>> =
-        results.into_iter().map(|(acc, ())| acc).collect();
     merge_into_corpus(datasets, &accumulators)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::baseline::analyze_multiwalk;
     use crate::corpus::{ingest, MemoryLogReader, RawLog};
     use crate::report::full_report;
 
@@ -686,13 +645,13 @@ mod tests {
     ];
 
     #[test]
-    fn summary_counts_match_the_staged_ingest() {
+    fn summary_counts_match_the_oracle_ingest() {
         let fused = analyze_streams(readers_of(&ENTRIES), Population::Unique).unwrap();
-        let staged = ingest(&RawLog::new(
+        let oracle = ingest(&RawLog::new(
             "test",
             ENTRIES.iter().map(|s| s.to_string()).collect(),
         ));
-        assert_eq!(fused.summaries[0].counts, staged.counts);
+        assert_eq!(fused.summaries[0].counts, oracle.counts);
         let summary = &fused.summaries[0];
         assert_eq!(summary.occurrences.len(), 3);
         let total: u64 = summary.occurrences.iter().map(|&(_, c)| c).sum();
@@ -732,18 +691,18 @@ mod tests {
     }
 
     #[test]
-    fn fused_reports_match_the_staged_pipeline_on_both_populations() {
+    fn fused_reports_match_the_oracle_on_both_populations() {
         for population in [Population::Unique, Population::Valid] {
             let fused = analyze_streams(readers_of(&ENTRIES), population).unwrap();
-            let staged_logs = vec![ingest(&RawLog::new(
+            let oracle_logs = vec![ingest(&RawLog::new(
                 "test",
                 ENTRIES.iter().map(|s| s.to_string()).collect(),
             ))];
-            let staged = CorpusAnalysis::analyze(&staged_logs, population);
+            let oracle = analyze_multiwalk(&oracle_logs, population);
             assert_eq!(
                 full_report(&fused.corpus),
-                full_report(&staged),
-                "fused vs staged mismatch on {population:?}"
+                full_report(&oracle),
+                "fused vs oracle mismatch on {population:?}"
             );
         }
     }

@@ -1,27 +1,26 @@
 //! The shared per-query intermediate of the single-pass analysis engine.
 //!
-//! [`QueryAnalysis::of`] is the only place in the pipeline that looks at a
-//! query's AST: it runs one [`QueryWalk`] over the body and derives every
-//! per-query measure — features, projection use, property-path tallies and
-//! the structural report — from that single traversal, with one canonical-
-//! graph construction shared by the shape, treewidth, girth and
-//! constants-excluded analyses. [`crate::analysis::DatasetAnalysis::add`]
+//! [`QueryAnalysis::of_ref`] is the only place in the fused engine that
+//! looks at a query's AST: it runs one [`QueryWalkRef`] over the borrowed
+//! body and derives every per-query measure — features, projection use,
+//! property-path tallies and the structural report — from that single
+//! traversal, with one canonical-graph construction shared by the shape,
+//! treewidth, girth and constants-excluded analyses. [`crate::analysis::DatasetAnalysis::add`]
 //! then folds the intermediate into the corpus tallies without touching the
 //! AST again.
 //!
-//! The original per-measure path (four-plus traversals per query) survives in
-//! [`crate::baseline`] as the reference the differential tests compare
-//! against.
+//! The original per-measure path (four-plus traversals of the owned AST per
+//! query) survives in [`crate::baseline`] as the oracle the differential
+//! tests compare against.
 
 use sparqlog_algebra::{
-    classify_fragments_from_walk, classify_fragments_from_walk_ref, projection_use_from_walk,
-    projection_use_from_walk_ref, ProjectionUse, QueryFeatures, QueryWalk, QueryWalkRef,
+    classify_fragments_from_walk_ref, projection_use_from_walk_ref, ProjectionUse, QueryFeatures,
+    QueryWalkRef,
 };
 use sparqlog_graph::StructuralReport;
 use sparqlog_parser::ast::QueryForm;
 use sparqlog_parser::ast_ref;
 use sparqlog_parser::intern::Interner;
-use sparqlog_parser::Query;
 use sparqlog_paths::PathTally;
 
 /// Everything the corpus tallies need to know about one query, computed in a
@@ -43,50 +42,15 @@ pub struct QueryAnalysis {
 }
 
 impl QueryAnalysis {
-    /// Analyses one query with exactly one AST traversal and (for CQ-like
-    /// queries) one canonical-graph construction, using a throwaway term
-    /// interner. Workers analysing many queries should prefer
-    /// [`QueryAnalysis::of_with`] with a long-lived interner so term strings
-    /// repeated across queries are stored once.
-    pub fn of(query: &Query) -> QueryAnalysis {
-        QueryAnalysis::of_with(query, &mut Interner::new())
-    }
-
-    /// [`QueryAnalysis::of`] with an explicit per-worker [`Interner`]: the
-    /// walk's
-    /// visible-variable set, the projection test and the canonical-graph
-    /// construction all run over `u32` symbols instead of strings. The
-    /// result is byte-identical for any interner state (symbols never leak
-    /// into the returned record).
-    pub fn of_with(query: &Query, interner: &mut Interner) -> QueryAnalysis {
-        let walk = QueryWalk::of(query, interner);
-        let features = QueryFeatures::from_walk(query, &walk);
-        let projection = projection_use_from_walk(query, &walk, interner);
-        let fragments = classify_fragments_from_walk(query, &walk);
-        let structural =
-            StructuralReport::from_walk_interned(fragments, walk.tree.as_ref(), interner);
-        let mut paths = PathTally::new();
-        for p in &walk.paths {
-            paths.add(p);
-        }
-        QueryAnalysis {
-            form: query.form,
-            features,
-            projection,
-            has_subqueries: walk.ops.subqueries > 0,
-            paths,
-            structural,
-        }
-    }
-
-    /// [`QueryAnalysis::of_with`] over a borrowed, arena-allocated AST
-    /// ([`ast_ref::Query`]): the analysis runs directly on the zero-copy
-    /// parse result without first materializing an owned AST. Property
-    /// paths are the only nodes converted to owned form (per path, at
-    /// tally time); everything else walks the borrowed tree. The returned
-    /// record is byte-identical to `of_with(&query.to_owned(), interner)`
-    /// and owns no arena data, so the caller may reset the arena as soon
-    /// as this returns.
+    /// Analyses one borrowed, arena-allocated query ([`ast_ref::Query`])
+    /// with exactly one AST traversal and (for CQ-like queries) one
+    /// canonical-graph construction. The walk's visible-variable set, the
+    /// projection test and the canonical-graph construction all run over
+    /// `u32` symbols of the caller's per-worker [`Interner`]; the result is
+    /// byte-identical for any interner state (symbols never leak into the
+    /// returned record). Property paths are the only nodes converted to
+    /// owned form (per path, at tally time). The record owns no arena data,
+    /// so the caller may reset the arena as soon as this returns.
     pub fn of_ref(query: &ast_ref::Query<'_>, interner: &mut Interner) -> QueryAnalysis {
         let walk = QueryWalkRef::of(query, interner);
         let features = QueryFeatures::from_walk_ref(query, &walk);
@@ -112,10 +76,11 @@ impl QueryAnalysis {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sparqlog_parser::parse_query;
+    use sparqlog_parser::{parse_query, parse_query_in, Arena};
 
-    fn qa(text: &str) -> QueryAnalysis {
-        QueryAnalysis::of(&parse_query(text).unwrap())
+    fn qa(text: &str, interner: &mut Interner) -> QueryAnalysis {
+        let arena = Arena::new();
+        QueryAnalysis::of_ref(&parse_query_in(text, &arena).unwrap(), interner)
     }
 
     #[test]
@@ -130,9 +95,12 @@ mod tests {
             "SELECT ?x WHERE { { ?x <p> ?y } UNION { ?x <q> ?y } }",
             "SELECT ?x WHERE { ?x a <http://C> FILTER NOT EXISTS { ?x <http://p> ?y } }",
             "ASK { ?x1 ?p ?x2 . ?x2 <http://a> ?x3 . ?x3 ?p ?x4 }",
+            "SELECT (COUNT(?x) AS ?n) WHERE { ?x ?p ?o } GROUP BY ?p HAVING(COUNT(?x) > 1)",
+            "SELECT * WHERE { SERVICE <http://ep> { ?s ?p ?o } VALUES ?s { <http://a> } }",
+            "SELECT * WHERE { ?x <a>/<b> ?y . ?y <c>* ?z GRAPH ?g { ?z ^<d> ?w } }",
         ] {
             let q = parse_query(text).unwrap();
-            let single = QueryAnalysis::of(&q);
+            let single = qa(text, &mut Interner::new());
             assert_eq!(single.features, QueryFeatures::of(&q), "{text}");
             assert_eq!(
                 single.projection,
@@ -160,9 +128,8 @@ mod tests {
             "SELECT ?x WHERE { ?x <http://p> <http://const> }",
             "SELECT * WHERE { ?a <http://p> ?b . ?b <http://p> ?c FILTER(?c = ?a) }",
         ] {
-            let q = parse_query(text).unwrap();
-            let fresh = QueryAnalysis::of(&q);
-            let reused = QueryAnalysis::of_with(&q, &mut interner);
+            let fresh = qa(text, &mut Interner::new());
+            let reused = qa(text, &mut interner);
             assert_eq!(format!("{fresh:?}"), format!("{reused:?}"), "{text}");
         }
         assert!(interner.stats().hits > 0);
@@ -170,33 +137,10 @@ mod tests {
 
     #[test]
     fn path_tally_collects_every_path() {
-        let a = qa("SELECT * WHERE { ?x <a>/<b> ?y . ?y <c>* ?z GRAPH ?g { ?z ^<d> ?w } }");
-        assert_eq!(a.paths.total, 3);
-    }
-
-    #[test]
-    fn borrowed_ast_analysis_matches_owned_ast_analysis() {
-        use sparqlog_parser::{parse_query_in, Arena};
-        let arena = Arena::new();
-        for text in [
-            "SELECT ?x WHERE { ?x a <http://C> . ?x <http://p> ?y FILTER(?y > 3) } LIMIT 5",
-            "ASK { <http://s> <http://p> <http://o> }",
-            "SELECT ?x WHERE { ?x <http://a>/<http://b>* ?y }",
-            "DESCRIBE <http://r>",
-            "SELECT * WHERE { ?A <name> ?N OPTIONAL { ?A <email> ?E } }",
-            "SELECT ?x WHERE { { ?x <p> ?y } UNION { ?x <q> ?y } }",
-            "SELECT ?x WHERE { ?x a <http://C> FILTER NOT EXISTS { ?x <http://p> ?y } }",
-            "SELECT (COUNT(?x) AS ?n) WHERE { ?x ?p ?o } GROUP BY ?p HAVING(COUNT(?x) > 1)",
-            "SELECT * WHERE { SERVICE <http://ep> { ?s ?p ?o } VALUES ?s { <http://a> } }",
+        let a = qa(
             "SELECT * WHERE { ?x <a>/<b> ?y . ?y <c>* ?z GRAPH ?g { ?z ^<d> ?w } }",
-        ] {
-            let borrowed = parse_query_in(text, &arena).unwrap();
-            let owned = borrowed.to_owned();
-            let mut interner = Interner::new();
-            let via_ref = QueryAnalysis::of_ref(&borrowed, &mut interner);
-            let mut interner2 = Interner::new();
-            let via_owned = QueryAnalysis::of_with(&owned, &mut interner2);
-            assert_eq!(format!("{via_ref:?}"), format!("{via_owned:?}"), "{text}");
-        }
+            &mut Interner::new(),
+        );
+        assert_eq!(a.paths.total, 3);
     }
 }

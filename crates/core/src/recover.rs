@@ -4,8 +4,9 @@
 //!
 //! The paper's corpora are real production logs: HTTP noise, truncated
 //! strings, invalid UTF-8 and the occasional adversarially deep query all
-//! show up between valid entries. This module gives every engine — fused,
-//! staged, sharded, served — one error model:
+//! show up between valid entries. This module gives every deployment of the
+//! engine — in-process, sharded, served — and the test oracle one error
+//! model:
 //!
 //! * **Taxonomy.** Every per-entry failure is classified as a stable
 //!   [`ErrorKind`] (defined in the parser crate, wire codes append-only).
@@ -156,7 +157,7 @@ pub enum RecoveryPolicy {
     /// Follow the `SPARQLOG_RECOVERY` environment variable (`strict`,
     /// `lenient` or `budget:<max-per-10k>`); unset or unparsable means
     /// [`RecoveryPolicy::Strict`]. The same pattern as the
-    /// `SPARQLOG_WORKERS` / `SPARQLOG_ANALYSIS_CACHE` overrides.
+    /// `SPARQLOG_WORKERS` override.
     #[default]
     Auto,
     /// Fail the run on the first defect (the historical reader behaviour,

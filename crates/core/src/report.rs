@@ -498,6 +498,7 @@ pub fn table6_streaks(histograms: &[(String, StreakHistogram)]) -> String {
 mod tests {
     use super::*;
     use crate::analysis::{CorpusAnalysis, Population};
+    use crate::baseline::analyze_multiwalk;
     use crate::corpus::{ingest, RawLog};
 
     fn small_corpus() -> CorpusAnalysis {
@@ -520,7 +521,7 @@ mod tests {
                 ],
             )),
         ];
-        CorpusAnalysis::analyze(&logs, Population::Unique)
+        analyze_multiwalk(&logs, Population::Unique)
     }
 
     #[test]
@@ -593,7 +594,7 @@ mod tests {
             "clean",
             vec!["ASK { <http://s> <http://p> <http://o> }".to_string()],
         ))];
-        let corpus = CorpusAnalysis::analyze(&logs, Population::Unique);
+        let corpus = analyze_multiwalk(&logs, Population::Unique);
         assert!(corpus.combined.errors.is_empty());
         assert!(!full_report(&corpus).contains("first errors"));
         assert!(!full_report(&corpus).contains("worker-panic"));

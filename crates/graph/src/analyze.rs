@@ -74,9 +74,9 @@ impl StructuralReport {
     }
 
     /// Analyses one query from a completed
-    /// [`QueryWalk`](sparqlog_algebra::walk::QueryWalk): the fragment report
-    /// and the pattern tree both come out of the walk's single traversal, so
-    /// no part of the query is visited again.
+    /// [`QueryWalkRef`](sparqlog_algebra::walk::QueryWalkRef): the fragment
+    /// report and the pattern tree both come out of the walk's single
+    /// traversal, so no part of the query is visited again.
     pub fn from_walk(fragments: FragmentReport, tree: Option<&PatternTree>) -> StructuralReport {
         StructuralReport::from_parts(fragments, tree)
     }

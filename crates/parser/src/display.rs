@@ -479,8 +479,8 @@ fn write_expr_list<W: Write>(out: &mut W, list: &[Expression]) {
 // ---------------------------------------------------------------------------
 // Borrowed-AST mirrors of the canonical writers. These must stay byte-for-byte
 // identical to the owned writers above: the fused pipeline fingerprints the
-// borrowed form while the staged pipeline fingerprints the owned form, and the
-// differential gate compares the two.
+// borrowed form while the test oracle fingerprints the owned form, and the
+// differential gates compare the two.
 // ---------------------------------------------------------------------------
 
 fn write_query_ref<W: Write>(out: &mut W, q: &ast_ref::Query<'_>) {

@@ -12,11 +12,10 @@
 //! across threads, and keep growing over the queries a worker analyses, which
 //! is exactly what makes them effective (the corpus-wide vocabulary of IRIs
 //! and variable names is tiny compared to the number of occurrences). In the
-//! staged analysis engine a worker's interner lives for the fold over its
-//! chunks; in the fused ingest→analyze engine it lives for the whole stream —
-//! threaded through every first-occurrence analysis a worker performs while
-//! batches are still being parsed — and its [`InternStats`] are merged
-//! across workers into the run's combined counters either way.
+//! fused ingest→analyze engine a worker's interner lives for the whole
+//! stream — threaded through every first-occurrence analysis the worker
+//! performs while batches are still being parsed — and its [`InternStats`]
+//! are merged across workers into the run's combined counters.
 //!
 //! ```
 //! use sparqlog_parser::intern::Interner;

@@ -1284,7 +1284,8 @@ fn verify_crc_frame(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sparqlog_core::analysis::{CorpusAnalysis, Population};
+    use sparqlog_core::analysis::Population;
+    use sparqlog_core::baseline::analyze_multiwalk;
     use sparqlog_core::corpus::{ingest, RawLog};
 
     fn analysed_dataset() -> DatasetAnalysis {
@@ -1300,7 +1301,7 @@ mod tests {
                 "garbage".to_string(),
             ],
         ));
-        let corpus = CorpusAnalysis::analyze(&[log], Population::Unique);
+        let corpus = analyze_multiwalk(&[log], Population::Unique);
         corpus.datasets.into_iter().next().unwrap()
     }
 

@@ -4,7 +4,8 @@
 //! prefix length, wrong version bytes, bad magic, bad tags, trailing bytes.
 
 use proptest::prelude::*;
-use sparqlog_core::analysis::{CorpusAnalysis, DatasetAnalysis, Population};
+use sparqlog_core::analysis::{DatasetAnalysis, Population};
+use sparqlog_core::baseline::analyze_multiwalk;
 use sparqlog_core::cache::CacheStats;
 use sparqlog_core::corpus::{ingest, CorpusCounts, FusedStats, LogSummary, RawLog};
 use sparqlog_core::{ErrorKind, ErrorTally};
@@ -25,7 +26,7 @@ fn fingerprint(hi: u64, lo: u64) -> u128 {
 /// An analysed dataset with non-trivial values in every tally family.
 fn analysed_dataset(entries: &[String], label: &str) -> DatasetAnalysis {
     let log = ingest(&RawLog::new(label, entries.to_vec()));
-    let corpus = CorpusAnalysis::analyze(&[log], Population::Unique);
+    let corpus = analyze_multiwalk(&[log], Population::Unique);
     corpus.datasets.into_iter().next().unwrap()
 }
 

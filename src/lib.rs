@@ -14,7 +14,7 @@
 //!   canonical serializer used for duplicate elimination.
 //! * [`algebra`] — shallow analysis (keywords, triples, operator sets,
 //!   projection), query fragments (CQ, CPF, CQF, AOF, well-designed, CQOF)
-//!   and the single-pass [`algebra::QueryWalk`] every measure is derived
+//!   and the single-pass [`algebra::QueryWalkRef`] every measure is derived
 //!   from.
 //! * [`graph`] — canonical graph / hypergraph construction, shape
 //!   classification, treewidth and generalized hypertree width.
@@ -24,8 +24,8 @@
 //! * [`gmark`] — a schema-driven graph and query-workload generator.
 //! * [`synth`] — a per-dataset calibrated SPARQL query-log synthesizer.
 //! * [`streaks`] — Levenshtein-based streak detection over query logs.
-//! * [`core`] — the corpus pipeline (parallel ingestion, the single-pass
-//!   analysis engine, report drivers).
+//! * [`core`] — the corpus pipeline (the fused streaming engine, the test
+//!   oracle, report drivers).
 //! * [`shard`] — multi-process sharded analysis: the binary snapshot codec,
 //!   the `sparqlog-shard-worker` mode, the reusable worker supervision
 //!   layer (heartbeats, stall detection) and the coordinator that merges
@@ -68,7 +68,7 @@
 //!    and memoized in the [`core::cache::AnalysisCache`], a duplicate's AST
 //!    is dropped inside its batch — peak memory is O(in-flight batches +
 //!    distinct analyses), not O(corpus).
-//! 2. [`core::QueryAnalysis`] runs one [`algebra::QueryWalk`] per distinct
+//! 2. [`core::QueryAnalysis`] runs one [`algebra::QueryWalkRef`] per distinct
 //!    canonical form — one traversal feeding features, projection, property
 //!    paths and the AOF pattern tree — and one canonical-graph construction
 //!    shared by the shape, treewidth, girth and constants-excluded analyses.
@@ -80,13 +80,13 @@
 //!    counts. Results are bit-identical for any worker count or batch
 //!    schedule (see `tests/determinism.rs`, `tests/fused.rs`).
 //!
-//! The staged two-phase pipeline ([`core::corpus::ingest_streams`] then
-//! [`core::CorpusAnalysis::analyze`]) survives as the differential baseline
-//! and for callers who need the parsed ASTs; the seed's multi-walk analysis
-//! path survives in [`core::baseline`] and the materializing ingest path as
-//! [`core::corpus::ingest`] / [`core::corpus::ingest_all_materializing`] —
-//! the references for the differential tests (`tests/differential.rs`,
-//! `tests/streaming.rs`, `tests/fused.rs`) and the `ablation_*` harnesses.
+//! This is the one production engine. Exactly one independent oracle
+//! survives beside it: the seed's materializing [`core::corpus::ingest`]
+//! (owned ASTs, canonical strings built and then hashed) followed by the
+//! multi-walk [`core::baseline::analyze_multiwalk`]. The differential tests
+//! (`tests/differential.rs`, `tests/fused.rs`, `tests/cache.rs`) and the
+//! `ablation_*` harness gates compare the fused engine with it byte for
+//! byte.
 //!
 //! # Quickstart
 //!
@@ -137,7 +137,8 @@
 //! [`core::RecoveryPolicy`] — `strict` aborts on defects with the log
 //! and line named, `lenient` recovers and tallies everything,
 //! `budget:<n>` tolerates `n` defects per 10k entries — honoured
-//! identically by the fused, staged, sharded and served engines
+//! identically by the engine in-process, sharded and served, and by the
+//! test oracle
 //! (`--recovery` / `SPARQLOG_RECOVERY`; `tests/robustness.rs` and the
 //! `tests/fuzz_recovery.rs` fuzz harness hold the byte-identity line).
 //!

@@ -1,13 +1,16 @@
-//! Multi-threaded determinism: `CorpusAnalysis::analyze` must produce
-//! identical reports regardless of worker count, chunk size (and therefore
-//! chunk boundaries), or the racy order in which workers claim chunks.
+//! Multi-threaded determinism: the fused engine must produce identical
+//! reports and per-log summaries regardless of worker count, batch size
+//! (and therefore batch boundaries), or the racy order in which workers
+//! claim batches — and its Table-1 accounting must equal the sequential
+//! oracle's.
 
-use sparqlog::core::analysis::{CorpusAnalysis, EngineOptions, Population};
-use sparqlog::core::corpus::{
-    ingest, ingest_all, ingest_streams_with, LogReader, SliceLogReader, StreamOptions,
-};
-use sparqlog::core::RawLog;
+mod common;
+
+use common::{fused, oracle_logs, slice_readers};
+use sparqlog::core::corpus::analyze_streams;
+use sparqlog::core::{Population, RawLog};
 use sparqlog::synth::{generate_corpus, CorpusConfig};
+use std::collections::BTreeMap;
 
 fn corpus_logs() -> Vec<RawLog> {
     let corpus = generate_corpus(CorpusConfig {
@@ -24,108 +27,66 @@ fn corpus_logs() -> Vec<RawLog> {
 
 #[test]
 fn analysis_is_identical_across_worker_counts_and_chunk_schedules() {
-    let ingested = ingest_all(&corpus_logs());
+    let logs = corpus_logs();
     for population in [Population::Unique, Population::Valid] {
-        let reference = format!(
-            "{:?}",
-            CorpusAnalysis::analyze_with(
-                &ingested,
-                population,
-                EngineOptions {
-                    recovery: Default::default(),
-                    workers: 1,
-                    chunk_size: 0,
-                    ..EngineOptions::default()
-                },
-            )
-        );
-        // Every worker count × chunk size must reproduce the single-threaded
-        // report bit-for-bit; chunk sizes of 1 and 7 shuffle the chunk
-        // boundaries and hand queries of the same dataset to different
-        // workers.
+        let reference = format!("{:?}", fused(&logs, population, 1, 0).corpus);
+        // Every worker count × batch size must reproduce the single-threaded
+        // report bit-for-bit; batch sizes of 1 and 7 shuffle the batch
+        // boundaries and hand entries of the same log to different workers.
         for workers in [1, 2, 8] {
-            for chunk_size in [0, 1, 7, 64] {
-                let run = CorpusAnalysis::analyze_with(
-                    &ingested,
-                    population,
-                    EngineOptions {
-                        recovery: Default::default(),
-                        workers,
-                        chunk_size,
-                        ..EngineOptions::default()
-                    },
-                );
+            for batch in [0, 1, 7, 64] {
+                let run = fused(&logs, population, workers, batch);
                 assert_eq!(
                     reference,
-                    format!("{run:?}"),
-                    "non-deterministic report: {population:?}, {workers} workers, chunk {chunk_size}"
+                    format!("{:?}", run.corpus),
+                    "non-deterministic report: {population:?}, {workers} workers, batch {batch}"
                 );
             }
         }
-        // The racy chunk-claim order differs between repeated runs; the
+        // The racy batch-claim order differs between repeated runs; the
         // report must not.
         for _ in 0..3 {
-            let run = CorpusAnalysis::analyze_with(
-                &ingested,
-                population,
-                EngineOptions {
-                    recovery: Default::default(),
-                    workers: 8,
-                    chunk_size: 2,
-                    ..EngineOptions::default()
-                },
-            );
-            assert_eq!(reference, format!("{run:?}"));
+            let run = fused(&logs, population, 8, 2);
+            assert_eq!(reference, format!("{:?}", run.corpus));
         }
     }
 }
 
 #[test]
 fn parallel_ingestion_is_identical_to_sequential() {
+    // The pooled engine's per-log accounting equals the sequential oracle's:
+    // the same counts, and the same distinct fingerprints with the same
+    // occurrence counts (the oracle's hashed from materialized strings).
     let logs = corpus_logs();
-    let parallel = ingest_all(&logs);
-    let sequential: Vec<_> = logs.iter().map(ingest).collect();
-    assert_eq!(parallel.len(), sequential.len());
-    for (p, s) in parallel.iter().zip(&sequential) {
+    let sequential = oracle_logs(&logs);
+    let parallel = fused(&logs, Population::Unique, 8, 7);
+    assert_eq!(parallel.summaries.len(), sequential.len());
+    for (p, s) in parallel.summaries.iter().zip(&sequential) {
         assert_eq!(p.counts, s.counts, "{}", p.label);
-        assert_eq!(p.unique_indices, s.unique_indices, "{}", p.label);
-        assert_eq!(p.valid_queries, s.valid_queries, "{}", p.label);
+        let mut occurrences: BTreeMap<u128, u64> = BTreeMap::new();
+        for &fingerprint in &s.fingerprints {
+            *occurrences.entry(fingerprint).or_insert(0) += 1;
+        }
+        let expected: Vec<(u128, u64)> = occurrences.into_iter().collect();
+        assert_eq!(p.occurrences, expected, "{}", p.label);
+        assert_eq!(p.errors, s.errors, "{}", p.label);
     }
 }
 
 #[test]
 fn streaming_ingestion_is_deterministic_across_schedules() {
-    // Worker count, batch size and shard count shuffle which worker parses
-    // which batch and which shard dedups which fingerprint; the ingested
-    // output must not move.
+    // Worker count and batch size shuffle which worker parses which batch
+    // and which worker first sees a fingerprint; the summaries must not
+    // move.
     let logs = corpus_logs();
-    let reference: Vec<_> = logs.iter().map(ingest).collect();
+    let reference = fused(&logs, Population::Valid, 1, 0).summaries;
     for workers in [1, 2, 8] {
         for batch in [1, 7, 512] {
-            for shards in [1, 16] {
-                let readers: Vec<Box<dyn LogReader + '_>> = logs
-                    .iter()
-                    .map(|l| Box::new(SliceLogReader::of(l)) as Box<dyn LogReader + '_>)
-                    .collect();
-                let streamed = ingest_streams_with(
-                    readers,
-                    StreamOptions {
-                        workers,
-                        batch,
-                        shards,
-                        recovery: Default::default(),
-                    },
-                )
-                .expect("in-memory ingestion cannot fail");
-                for (s, r) in streamed.iter().zip(&reference) {
-                    assert_eq!(
-                        s.counts, r.counts,
-                        "workers {workers}, batch {batch}, shards {shards}"
-                    );
-                    assert_eq!(s.unique_indices, r.unique_indices, "{}", s.label);
-                    assert_eq!(s.valid_queries, r.valid_queries, "{}", s.label);
-                }
-            }
+            let streamed = fused(&logs, Population::Valid, workers, batch);
+            assert_eq!(
+                streamed.summaries, reference,
+                "workers {workers}, batch {batch}"
+            );
         }
     }
 }
@@ -135,10 +96,13 @@ fn shuffled_log_order_only_permutes_dataset_rows() {
     // Reversing the logs permutes the per-dataset rows but must leave each
     // row and the combined totals untouched.
     let logs = corpus_logs();
-    let ingested = ingest_all(&logs);
-    let reversed: Vec<_> = ingested.iter().rev().cloned().collect();
-    let forward = CorpusAnalysis::analyze(&ingested, Population::Unique);
-    let backward = CorpusAnalysis::analyze(&reversed, Population::Unique);
+    let reversed: Vec<RawLog> = logs.iter().rev().cloned().collect();
+    let forward = analyze_streams(slice_readers(&logs), Population::Unique)
+        .unwrap()
+        .corpus;
+    let backward = analyze_streams(slice_readers(&reversed), Population::Unique)
+        .unwrap()
+        .corpus;
     for d in &forward.datasets {
         let twin = backward
             .datasets

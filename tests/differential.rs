@@ -1,14 +1,15 @@
-//! Differential test: the single-pass analysis engine must produce
-//! byte-identical `DatasetAnalysis` / `CorpusAnalysis` results to the seed
-//! multi-walk path on a mixed corpus.
+//! Differential test: the fused engine must produce byte-identical
+//! `DatasetAnalysis` / `CorpusAnalysis` results and Table-1 accounting to
+//! the independent oracle — the materializing `ingest` followed by the seed
+//! multi-walk — on a mixed corpus, and its single-pass per-query record must
+//! fold identically to the multi-walk on every query.
 
-use sparqlog::core::analysis::{CorpusAnalysis, Population};
-use sparqlog::core::baseline::{add_query_multiwalk, analyze_multiwalk};
-use sparqlog::core::corpus::{
-    ingest, ingest_all, ingest_all_materializing, ingest_streams_with, LogReader, SliceLogReader,
-    StreamOptions,
-};
-use sparqlog::core::{DatasetAnalysis, EngineOptions, QueryAnalysis, RawLog};
+mod common;
+
+use common::{fused, oracle, oracle_logs, single_pass};
+use sparqlog::core::analysis::Population;
+use sparqlog::core::baseline::add_query_multiwalk;
+use sparqlog::core::{DatasetAnalysis, RawLog};
 use sparqlog::parser::parse_query;
 use sparqlog::synth::{generate_single_day_log, Dataset};
 
@@ -91,65 +92,49 @@ fn mixed_corpus() -> Vec<RawLog> {
 
 #[test]
 fn corpus_analysis_is_byte_identical_to_the_multiwalk_path() {
-    let ingested = ingest_all(&mixed_corpus());
+    let raw = mixed_corpus();
     for population in [Population::Unique, Population::Valid] {
-        let reference = analyze_multiwalk(&ingested, population);
-        let single_pass = CorpusAnalysis::analyze(&ingested, population);
-        assert_eq!(
-            format!("{reference:?}"),
-            format!("{single_pass:?}"),
-            "single-pass vs multi-walk mismatch on {population:?}"
-        );
-        // Also through the explicitly-parallel entry point.
-        let parallel = CorpusAnalysis::analyze_with(
-            &ingested,
-            population,
-            EngineOptions {
-                recovery: Default::default(),
-                workers: 4,
-                chunk_size: 3,
-                ..EngineOptions::default()
-            },
-        );
-        assert_eq!(format!("{reference:?}"), format!("{parallel:?}"));
+        let reference = format!("{:?}", oracle(&raw, population));
+        // The default schedule and an explicitly parallel one with small
+        // batches.
+        for (workers, batch) in [(0, 0), (4, 3)] {
+            let single_pass = fused(&raw, population, workers, batch);
+            assert_eq!(
+                reference,
+                format!("{:?}", single_pass.corpus),
+                "fused vs multi-walk mismatch on {population:?} ({workers} workers, batch {batch})"
+            );
+        }
     }
 }
 
 #[test]
 fn streaming_ingestion_is_byte_identical_to_the_materializing_path() {
     // The streaming engine (incremental LogReader feed, canonical walk
-    // hashed without materializing the string, sharded dedup) must agree
-    // with the sequential materializing reference and the materializing
-    // pool on counts, queries, unique indices AND the downstream reports.
+    // hashed without materializing the string, per-worker occurrence maps)
+    // must agree with the sequential materializing oracle on counts,
+    // distinct fingerprints, error tallies AND the downstream reports.
     let raw = mixed_corpus();
-    let reference: Vec<_> = raw.iter().map(ingest).collect();
-    let pooled = ingest_all_materializing(&raw);
+    let reference = oracle_logs(&raw);
     for (batch, workers) in [(1, 1), (3, 4), (512, 2)] {
-        let readers: Vec<Box<dyn LogReader + '_>> = raw
-            .iter()
-            .map(|l| Box::new(SliceLogReader::of(l)) as Box<dyn LogReader + '_>)
-            .collect();
-        let streamed = ingest_streams_with(
-            readers,
-            StreamOptions {
-                recovery: Default::default(),
-                workers,
-                batch,
-                shards: 8,
-            },
-        )
-        .expect("in-memory ingestion cannot fail");
-        for ((s, r), p) in streamed.iter().zip(&reference).zip(&pooled) {
-            assert_eq!(s.counts, r.counts, "batch {batch}, workers {workers}");
-            assert_eq!(s.unique_indices, r.unique_indices);
-            assert_eq!(s.valid_queries, r.valid_queries);
-            assert_eq!(s.counts, p.counts);
-            assert_eq!(s.unique_indices, p.unique_indices);
-        }
         for population in [Population::Unique, Population::Valid] {
+            let streamed = fused(&raw, population, workers, batch);
+            for (s, r) in streamed.summaries.iter().zip(&reference) {
+                assert_eq!(s.counts, r.counts, "batch {batch}, workers {workers}");
+                assert_eq!(s.errors, r.errors, "batch {batch}, workers {workers}");
+                let mut distinct: Vec<u128> = r
+                    .unique_indices
+                    .iter()
+                    .map(|&i| r.fingerprints[i])
+                    .collect();
+                distinct.sort_unstable();
+                let streamed_distinct: Vec<u128> =
+                    s.occurrences.iter().map(|&(fp, _)| fp).collect();
+                assert_eq!(streamed_distinct, distinct);
+            }
             assert_eq!(
-                format!("{:?}", CorpusAnalysis::analyze(&reference, population)),
-                format!("{:?}", CorpusAnalysis::analyze(&streamed, population)),
+                format!("{:?}", oracle(&raw, population)),
+                format!("{:?}", streamed.corpus),
                 "corpus report differs on {population:?} (batch {batch}, workers {workers})"
             );
         }
@@ -166,11 +151,11 @@ fn per_query_fold_is_byte_identical_on_every_handcrafted_query() {
         };
         let mut reference = DatasetAnalysis::default();
         add_query_multiwalk(&mut reference, &query);
-        let mut single_pass = DatasetAnalysis::default();
-        single_pass.add(&QueryAnalysis::of(&query));
+        let mut folded = DatasetAnalysis::default();
+        folded.add(&single_pass(&text).expect("the arena parser accepts it too"));
         assert_eq!(
             format!("{reference:?}"),
-            format!("{single_pass:?}"),
+            format!("{folded:?}"),
             "single-pass vs multi-walk mismatch on {text:?}"
         );
     }
@@ -186,11 +171,11 @@ fn synthesized_queries_fold_identically_across_datasets() {
             let query = parse_query(&text).expect("synthesized queries parse");
             let mut reference = DatasetAnalysis::default();
             add_query_multiwalk(&mut reference, &query);
-            let mut single_pass = DatasetAnalysis::default();
-            single_pass.add(&QueryAnalysis::of(&query));
+            let mut folded = DatasetAnalysis::default();
+            folded.add(&single_pass(&text).expect("synthesized queries parse"));
             assert_eq!(
                 format!("{reference:?}"),
-                format!("{single_pass:?}"),
+                format!("{folded:?}"),
                 "mismatch on {dataset:?} query {text:?}"
             );
         }

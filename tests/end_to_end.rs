@@ -2,8 +2,11 @@
 //! analysis pipeline and check that the qualitative findings of the paper
 //! hold on it (who dominates, orderings, rough magnitudes).
 
+mod common;
+
+use common::slice_readers;
 use sparqlog::core::analysis::{CorpusAnalysis, Population};
-use sparqlog::core::corpus::{ingest_all, RawLog};
+use sparqlog::core::corpus::{analyze_streams, RawLog};
 use sparqlog::core::report;
 use sparqlog::synth::{generate_corpus, CorpusConfig, Dataset};
 
@@ -18,8 +21,9 @@ fn analyzed(scale: f64, seed: u64) -> CorpusAnalysis {
         .iter()
         .map(|l| RawLog::new(l.dataset.label(), l.entries.clone()))
         .collect();
-    let ingested = ingest_all(&raw);
-    CorpusAnalysis::analyze(&ingested, Population::Unique)
+    analyze_streams(slice_readers(&raw), Population::Unique)
+        .unwrap()
+        .corpus
 }
 
 #[test]
@@ -137,9 +141,12 @@ fn valid_population_is_a_superset_of_unique() {
         .iter()
         .map(|l| RawLog::new(l.dataset.label(), l.entries.clone()))
         .collect();
-    let ingested = ingest_all(&raw);
-    let unique = CorpusAnalysis::analyze(&ingested, Population::Unique);
-    let valid = CorpusAnalysis::analyze(&ingested, Population::Valid);
+    let unique = analyze_streams(slice_readers(&raw), Population::Unique)
+        .unwrap()
+        .corpus;
+    let valid = analyze_streams(slice_readers(&raw), Population::Valid)
+        .unwrap()
+        .corpus;
     assert!(valid.combined.keywords.total_queries >= unique.combined.keywords.total_queries);
     assert!(valid.combined.opsets.total >= unique.combined.opsets.total);
 }

@@ -1,30 +1,25 @@
 //! The fused ingest→analyze streaming engine: differential proof that
-//! `analyze_streams` renders corpus reports byte-identical to the staged
-//! `ingest_streams` + `analyze_cached` pipeline — over synthesized corpora,
-//! worker counts 1/2/8, batch sizes that force duplicates to straddle batch
-//! boundaries, both populations, a shared cache surviving the population
-//! switch, cache shard boundaries, and file-backed streams — plus the
-//! occurrence-weighted fold's equivalence to repeated folds.
+//! `analyze_streams` renders corpus reports byte-identical to the oracle
+//! (the materializing `ingest` + the seed multi-walk `analyze_multiwalk`) —
+//! over synthesized corpora, worker counts 1/2/8, batch sizes that force
+//! duplicates to straddle batch boundaries, both populations, degenerate
+//! inputs (no logs, empty logs, all-invalid logs, one entry), a shared
+//! cache surviving the population switch, cache shard boundaries, and
+//! file-backed streams — plus the occurrence-weighted fold's equivalence to
+//! repeated folds.
 
+mod common;
+
+use common::{fused, oracle, oracle_logs, single_pass};
 use proptest::prelude::*;
-use sparqlog::core::analysis::{CachePolicy, EngineOptions};
 use sparqlog::core::cache::AnalysisCache;
 use sparqlog::core::corpus::{
-    analyze_streams, analyze_streams_cached, analyze_streams_with, ingest, ingest_all,
-    FileLogReader, FusedOptions, LogReader, MemoryLogReader, RawLog,
+    analyze_streams, analyze_streams_cached, ingest, FileLogReader, FusedOptions, LogReader,
+    MemoryLogReader, RawLog,
 };
 use sparqlog::core::report::full_report;
-use sparqlog::core::{CorpusAnalysis, DatasetAnalysis, Population, QueryAnalysis};
+use sparqlog::core::{DatasetAnalysis, Population};
 use sparqlog::synth::{generate_single_day_log, Dataset, DatasetProfile, Synthesizer};
-
-fn uncached_options() -> EngineOptions {
-    EngineOptions {
-        recovery: Default::default(),
-        workers: 1,
-        chunk_size: 0,
-        cache: CachePolicy::Disabled,
-    }
-}
 
 fn memory_readers(logs: &[RawLog]) -> Vec<Box<dyn LogReader + 'static>> {
     logs.iter()
@@ -56,36 +51,26 @@ fn duplicate_heavy_corpus() -> Vec<RawLog> {
     raw
 }
 
-#[test]
-fn fused_matches_staged_on_the_fixed_corpus_across_workers_and_batches() {
-    let raw = duplicate_heavy_corpus();
-    let staged_logs = ingest_all(&raw);
+/// Asserts the fused engine equals the oracle on `raw` at every worker
+/// count and batch size of the matrix, on both populations: the rendered
+/// report, the per-log Table-1 counts and the error tallies.
+fn assert_matches_oracle(raw: &[RawLog], workers: &[usize], batches: &[usize]) {
+    let oracle_logs = oracle_logs(raw);
     for population in [Population::Unique, Population::Valid] {
-        let (staged, _) =
-            CorpusAnalysis::analyze_stats(&staged_logs, population, uncached_options());
-        let staged_report = full_report(&staged);
-        for workers in [1, 2, 8] {
-            // Batch 7 splits the tiled logs mid-repeat, so duplicates of one
-            // canonical form land in different batches (and, at >1 workers,
-            // in different workers' occurrence maps).
-            for batch in [0, 7] {
-                let fused = analyze_streams_with(
-                    memory_readers(&raw),
-                    population,
-                    FusedOptions {
-                        workers,
-                        batch,
-                        recovery: Default::default(),
-                    },
-                )
-                .unwrap();
+        let oracle_report = full_report(&oracle(raw, population));
+        for &workers in workers {
+            for &batch in batches {
+                let run = fused(raw, population, workers, batch);
                 assert_eq!(
-                    full_report(&fused.corpus),
-                    staged_report,
-                    "fused vs staged diverged: {population:?}, {workers} workers, batch {batch}"
+                    full_report(&run.corpus),
+                    oracle_report,
+                    "fused vs oracle diverged: {population:?}, {workers} workers, batch {batch}"
                 );
-                for (summary, staged_log) in fused.summaries.iter().zip(&staged_logs) {
-                    assert_eq!(summary.counts, staged_log.counts);
+                assert_eq!(run.summaries.len(), oracle_logs.len());
+                for (summary, oracle_log) in run.summaries.iter().zip(&oracle_logs) {
+                    assert_eq!(summary.label, oracle_log.label);
+                    assert_eq!(summary.counts, oracle_log.counts);
+                    assert_eq!(summary.errors, oracle_log.errors);
                     let occurrence_total: u64 =
                         summary.occurrences.iter().map(|&(_, count)| count).sum();
                     assert_eq!(occurrence_total, summary.counts.valid);
@@ -93,6 +78,44 @@ fn fused_matches_staged_on_the_fixed_corpus_across_workers_and_batches() {
                 }
             }
         }
+    }
+}
+
+#[test]
+fn fused_matches_the_oracle_on_the_fixed_corpus_across_workers_and_batches() {
+    // Batch 7 splits the tiled logs mid-repeat, so duplicates of one
+    // canonical form land in different batches (and, at >1 workers, in
+    // different workers' occurrence maps).
+    assert_matches_oracle(&duplicate_heavy_corpus(), &[1, 2, 8], &[0, 7]);
+}
+
+#[test]
+fn fused_matches_the_oracle_on_empty_invalid_and_one_entry_inputs() {
+    let invalid = || {
+        RawLog::new(
+            "invalid",
+            vec![
+                String::new(),
+                "not sparql".to_string(),
+                "SELECT ?x WHERE { ?x <http://p> \"unterminated".to_string(),
+            ],
+        )
+    };
+    let one = || {
+        RawLog::new(
+            "one",
+            vec!["SELECT ?x WHERE { ?x <http://p> ?y }".to_string()],
+        )
+    };
+    let inputs: [Vec<RawLog>; 5] = [
+        vec![],
+        vec![RawLog::new("empty", vec![])],
+        vec![invalid()],
+        vec![one()],
+        vec![RawLog::new("empty", vec![]), invalid(), one()],
+    ];
+    for raw in &inputs {
+        assert_matches_oracle(raw, &[1, 2, 8], &[1, 512]);
     }
 }
 
@@ -121,14 +144,15 @@ fn shared_cache_survives_the_population_switch_without_reanalysing() {
     assert_eq!(after_valid.misses, after_unique.misses);
     assert_eq!(after_valid.distinct, after_unique.distinct);
     assert!(after_unique.hits > after_valid.hits);
-    // Both runs agree with fresh staged uncached references.
-    let staged_logs = ingest_all(&raw);
-    let (valid_ref, _) =
-        CorpusAnalysis::analyze_stats(&staged_logs, Population::Valid, uncached_options());
-    let (unique_ref, _) =
-        CorpusAnalysis::analyze_stats(&staged_logs, Population::Unique, uncached_options());
-    assert_eq!(full_report(&valid.corpus), full_report(&valid_ref));
-    assert_eq!(full_report(&unique.corpus), full_report(&unique_ref));
+    // Both runs agree with the oracle.
+    assert_eq!(
+        full_report(&valid.corpus),
+        full_report(&oracle(&raw, Population::Valid))
+    );
+    assert_eq!(
+        full_report(&unique.corpus),
+        full_report(&oracle(&raw, Population::Unique))
+    );
 }
 
 #[test]
@@ -154,7 +178,7 @@ fn cache_shard_boundaries_do_not_change_the_fused_report() {
     assert_eq!(reports[0], reports[1]);
     assert_eq!(single.len(), many.len());
     // Occurrence accounting covers every valid entry on both shardings.
-    let lookups: u64 = ingest_all(&raw).iter().map(|l| l.counts.valid).sum();
+    let lookups: u64 = oracle_logs(&raw).iter().map(|l| l.counts.valid).sum();
     for cache in [&single, &many] {
         let stats = cache.stats();
         assert_eq!(stats.hits + stats.misses, lookups);
@@ -193,10 +217,10 @@ fn file_backed_streams_match_in_memory_streams() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Fused and staged reports agree on any synthesized corpus, for any
+    /// Fused and oracle reports agree on any synthesized corpus, for any
     /// worker count and batch size, on both populations.
     #[test]
-    fn fused_reports_match_staged_on_synthesized_corpora(
+    fn fused_reports_match_the_oracle_on_synthesized_corpora(
         seed in 0u64..5_000,
         dataset_idx in 0usize..13,
         workers in 1usize..9,
@@ -210,26 +234,16 @@ proptest! {
         entries.extend(tiled);
         entries.push("garbage entry".to_string());
         let raw = vec![RawLog::new("prop", entries)];
-        let staged_logs = ingest_all(&raw);
+        let oracle_log = ingest(&raw[0]);
         for population in [Population::Unique, Population::Valid] {
-            let fused = analyze_streams_with(
-                memory_readers(&raw),
-                population,
-                FusedOptions {
-                        workers,
-                        batch,
-                        recovery: Default::default(),
-                    },
-            ).unwrap();
-            let (staged, _) =
-                CorpusAnalysis::analyze_stats(&staged_logs, population, uncached_options());
+            let run = fused(&raw, population, workers, batch);
             prop_assert_eq!(
-                full_report(&fused.corpus),
-                full_report(&staged),
+                full_report(&run.corpus),
+                full_report(&oracle(&raw, population)),
                 "fused differential diverged: {:?}, {} workers, batch {}",
                 population, workers, batch
             );
-            prop_assert_eq!(fused.summaries[0].counts, staged_logs[0].counts);
+            prop_assert_eq!(run.summaries[0].counts, oracle_log.counts);
         }
     }
 
@@ -245,8 +259,7 @@ proptest! {
         let mut synth = Synthesizer::new(DatasetProfile::of(dataset), seed);
         for _ in 0..4 {
             let text = synth.fresh_query();
-            let query = sparqlog::parser::parse_query(&text).expect("synthesized queries parse");
-            let qa = QueryAnalysis::of(&query);
+            let qa = single_pass(&text).expect("synthesized queries parse");
             let mut weighted = DatasetAnalysis::default();
             weighted.add_times(&qa, times);
             let mut repeated = DatasetAnalysis::default();
@@ -276,16 +289,8 @@ proptest! {
         entries.push("DESCRIBE <http://r>".to_string());
         entries.extend(entries.clone());
         let raw = RawLog::new("prop", entries);
-        let fused = analyze_streams_with(
-            memory_readers(std::slice::from_ref(&raw)),
-            Population::Unique,
-            FusedOptions {
-                workers: 3,
-                batch,
-                recovery: Default::default(),
-            },
-        ).unwrap();
+        let run = fused(std::slice::from_ref(&raw), Population::Unique, 3, batch);
         let reference = ingest(&raw);
-        prop_assert_eq!(fused.summaries[0].counts, reference.counts);
+        prop_assert_eq!(run.summaries[0].counts, reference.counts);
     }
 }

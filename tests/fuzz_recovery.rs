@@ -1,8 +1,10 @@
 //! Fuzz harness for malformed-input recovery: byte soup, truncation sweeps
 //! and single-byte mutations of valid queries, all ingested in Lenient
 //! mode. Every case asserts the hardening contract end-to-end — no panic
-//! escapes any engine, and the fused, staged, sharded and served paths
-//! produce byte-identical reports and error tallies.
+//! escapes the engine, the in-process, sharded and served deployments of
+//! the fused engine produce byte-identical reports and error tallies, and
+//! the independent oracle agrees with them (see `common::assert_oracle_agrees`
+//! for the one invalid-UTF-8 caveat).
 //!
 //! The case count defaults to 48 per property and scales with the
 //! `SPARQLOG_FUZZ_CASES` environment variable (the CI fuzz-smoke job runs
@@ -10,12 +12,11 @@
 //! proptest shim; a failure prints the offending inputs, which double as
 //! the reproduction seed.
 
+mod common;
+
+use common::assert_oracle_agrees;
 use proptest::prelude::*;
-use sparqlog::core::analysis::CorpusAnalysis;
-use sparqlog::core::corpus::{
-    analyze_streams_with, ingest_streams_with, FileLogReader, FusedOptions, LogReader,
-    StreamOptions,
-};
+use sparqlog::core::corpus::{analyze_streams_with, FileLogReader, FusedOptions, LogReader};
 use sparqlog::core::report::full_report;
 use sparqlog::core::{Population, RecoveryPolicy};
 use sparqlog::serve::{Client, JobPhase, ServeAddr, ServeConfig, Server, ServerHandle};
@@ -78,8 +79,9 @@ fn serve_client() -> &'static Mutex<Client> {
 }
 
 /// The hardening contract, asserted for one fuzz corpus: Lenient ingestion
-/// never fails, and the fused (1/2/8 workers), staged, sharded and served
-/// engines agree byte-for-byte on the report and the error tally.
+/// never fails, the fused engine (1/2/8 workers), its sharded and served
+/// deployments agree byte-for-byte on the report and the error tally, and
+/// the oracle agrees with them.
 fn assert_engines_agree(prefix: &str, bytes: &[u8]) {
     let path = write_case(prefix, bytes);
 
@@ -110,19 +112,7 @@ fn assert_engines_agree(prefix: &str, bytes: &[u8]) {
         assert_eq!(full_report(&fused.corpus), report, "{workers} workers");
     }
 
-    let staged = ingest_streams_with(
-        reader(&path),
-        StreamOptions {
-            workers: 2,
-            batch: 3,
-            shards: 4,
-            recovery: RecoveryPolicy::Lenient,
-        },
-    )
-    .expect("lenient staged ingestion must recover any input");
-    assert_eq!(staged[0].errors, reference.summaries[0].errors);
-    let staged_corpus = CorpusAnalysis::analyze(&staged, Population::Unique);
-    assert_eq!(full_report(&staged_corpus), report, "staged");
+    assert_oracle_agrees(&[("fuzz", bytes)], Population::Unique, &reference);
 
     let logs = vec![LogSpec::new("fuzz", &path)];
     let options = ShardOptions {

@@ -1,6 +1,7 @@
-//! Observability must be free of observable side effects: every engine's
-//! report is byte-identical with metrics enabled and disabled, across the
-//! fused, staged, sharded, and served pipelines and a worker-count matrix.
+//! Observability must be free of observable side effects: the engine's
+//! report is byte-identical with metrics enabled and disabled — and equal
+//! to the uninstrumented oracle's — in-process, sharded and served, across
+//! a worker-count matrix.
 //! Alongside the identity line: histogram merge commutativity (a property
 //! the cross-process absorb path depends on) and event-journal round-trips.
 //!
@@ -8,13 +9,15 @@
 //! every test that toggles it serializes on [`OBS_LOCK`] — the rest of the
 //! suite runs with whatever the environment selected.
 
+mod common;
+
+use common::{line_entries, oracle};
 use proptest::prelude::*;
 use sparqlog::core::corpus::{
-    analyze_streams_with, ingest_streams_with, FileLogReader, FusedOptions, LogReader,
-    StreamOptions,
+    analyze_streams_with, FileLogReader, FusedOptions, LogReader, RawLog,
 };
 use sparqlog::core::report::full_report;
-use sparqlog::core::{CorpusAnalysis, Population, RecoveryPolicy};
+use sparqlog::core::{Population, RecoveryPolicy};
 use sparqlog::obs::{EventRecord, LatencyHistogram};
 use sparqlog::serve::{Client, JobPhase, ServeAddr, ServeConfig, Server};
 use sparqlog::shard::{analyze_sharded, LogSpec, ShardOptions, WorkerCommand};
@@ -105,21 +108,25 @@ fn fused_report(logs: &[LogSpec], workers: usize) -> String {
     full_report(&fused.corpus)
 }
 
-fn staged_report(logs: &[LogSpec]) -> String {
-    let options = StreamOptions {
-        recovery: RecoveryPolicy::Lenient,
-        ..StreamOptions::default()
-    };
-    let ingested = ingest_streams_with(readers(logs), options).expect("staged ingest");
-    full_report(&CorpusAnalysis::analyze(&ingested, Population::Unique))
+/// The oracle's report over the same log files.
+fn oracle_report(logs: &[LogSpec]) -> String {
+    let raw: Vec<RawLog> = logs
+        .iter()
+        .map(|log| {
+            let bytes = std::fs::read(&log.path).expect("read log");
+            RawLog::new(log.label.clone(), line_entries(&bytes).0)
+        })
+        .collect();
+    full_report(&oracle(&raw, Population::Unique))
 }
 
 #[test]
-fn fused_and_staged_reports_are_byte_identical_with_metrics_on_and_off() {
+fn fused_reports_match_the_oracle_with_metrics_on_and_off() {
     let _guard = OBS_LOCK.lock().unwrap();
-    let scratch = Scratch::new("fused-staged");
+    let scratch = Scratch::new("fused-oracle");
     let logs = write_corpus(scratch.path());
     let registry = sparqlog::obs::global();
+    let reference = oracle_report(&logs);
 
     for workers in [1usize, 2, 8] {
         sparqlog::obs::set_enabled(false);
@@ -139,6 +146,7 @@ fn fused_and_staged_reports_are_byte_identical_with_metrics_on_and_off() {
             on, off,
             "fused report diverged under instrumentation ({workers} workers)"
         );
+        assert_eq!(off, reference, "fused report diverged from the oracle");
         for name in [
             "pipeline_runs_total",
             "pipeline_batches_total",
@@ -163,12 +171,6 @@ fn fused_and_staged_reports_are_byte_identical_with_metrics_on_and_off() {
 
     sparqlog::obs::set_enabled(false);
     registry.reset();
-    let off = staged_report(&logs);
-    sparqlog::obs::set_enabled(true);
-    let on = staged_report(&logs);
-    sparqlog::obs::set_enabled(false);
-    registry.reset();
-    assert_eq!(on, off, "staged report diverged under instrumentation");
 }
 
 #[test]

@@ -2,18 +2,18 @@
 //! fixture corpus: NUL bytes, lone carriage returns, truncated strings and
 //! IRIs, an 8 MiB single-line entry, 10k-deep nested groups, an
 //! invalid-UTF-8 line, all interleaved with valid entries. In Lenient mode
-//! every engine — fused, staged, sharded, served — must produce
-//! byte-identical reports and error tallies at any worker count; Strict
+//! the fused engine — in-process, sharded, served — must produce
+//! byte-identical reports and error tallies at any worker count, and the
+//! independent oracle must agree with them; Strict
 //! mode must fail with an actionable error naming the log and line; an
 //! error budget must pass or fail on its exact boundary with the tally
 //! preserved; and a panic planted in a worker process must be caught and
 //! recorded as a `worker-panic` tally instead of killing the run.
 
-use sparqlog::core::analysis::CorpusAnalysis;
-use sparqlog::core::corpus::{
-    analyze_streams_with, ingest_streams_with, FileLogReader, FusedOptions, LogReader,
-    StreamOptions,
-};
+mod common;
+
+use common::assert_oracle_agrees;
+use sparqlog::core::corpus::{analyze_streams_with, FileLogReader, FusedOptions, LogReader};
 use sparqlog::core::report::full_report;
 use sparqlog::core::{BudgetExceeded, ErrorKind, ErrorTally, Population, RecoveryPolicy};
 use sparqlog::serve::{Client, JobPhase, ServeAddr, ServeConfig, Server, ServerHandle};
@@ -186,24 +186,17 @@ fn lenient_reports_and_tallies_are_byte_identical_across_every_engine() {
             }
         }
 
-        // Staged pipeline: ingest first, analyze after.
-        let staged = ingest_streams_with(
-            readers(&logs),
-            StreamOptions {
-                workers: 2,
-                batch: 3,
-                shards: 8,
-                recovery: RecoveryPolicy::Lenient,
-            },
-        )
-        .expect("lenient staged ingestion");
-        assert_adversarial_tally(&staged[0].errors);
-        let staged_corpus = CorpusAnalysis::analyze(&staged, population);
-        assert_eq!(
-            full_report(&staged_corpus),
-            reference_report,
-            "staged report diverged"
-        );
+        // The oracle: owned ASTs and the multi-walk over the same lines.
+        let bytes: Vec<Vec<u8>> = logs
+            .iter()
+            .map(|log| std::fs::read(&log.path).expect("read log"))
+            .collect();
+        let oracle_input: Vec<(&str, &[u8])> = logs
+            .iter()
+            .zip(&bytes)
+            .map(|(log, bytes)| (log.label.as_str(), bytes.as_slice()))
+            .collect();
+        assert_oracle_agrees(&oracle_input, population, &reference);
 
         // Sharded, across a process boundary.
         for shards in [1, 2] {

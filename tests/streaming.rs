@@ -1,14 +1,19 @@
 //! The streaming ingestion subsystem: property tests proving the
 //! zero-materialization `CanonicalHasher` fingerprint equal to the
 //! materializing one on generated queries, edge-case coverage for the
-//! streaming log readers, and shard-boundary duplicate elimination.
+//! streaming log readers, and batch- and shard-boundary duplicate
+//! elimination in the fused engine against the sequential oracle.
 
+mod common;
+
+use common::fused;
 use proptest::prelude::*;
+use sparqlog::core::cache::AnalysisCache;
 use sparqlog::core::corpus::{
-    canonical_fingerprint, ingest, ingest_streams, ingest_streams_with, FileLogReader,
-    FingerprintShards, LineLogReader, LogReader, MemoryLogReader, RawLog, SliceLogReader,
-    StreamOptions,
+    analyze_streams, canonical_fingerprint, ingest, FileLogReader, LineLogReader, LogReader,
+    MemoryLogReader, RawLog,
 };
+use sparqlog::core::Population;
 use sparqlog::parser::{canonical_fingerprint_of, parse_query, to_canonical_string};
 use sparqlog::synth::{Dataset, DatasetProfile, Synthesizer};
 use std::io::Cursor;
@@ -35,7 +40,7 @@ proptest! {
         }
     }
 
-    /// Streaming ingestion equals the sequential materializing reference for
+    /// Streaming ingestion equals the sequential materializing oracle for
     /// any batch size and worker count on a synthesized log with injected
     /// duplicates and garbage.
     #[test]
@@ -50,35 +55,31 @@ proptest! {
         entries.push("garbage entry".to_string());
         let log = RawLog::new("prop", entries);
         let reference = ingest(&log);
-        let readers: Vec<Box<dyn LogReader + '_>> =
-            vec![Box::new(SliceLogReader::of(&log)) as Box<dyn LogReader + '_>];
-        let streamed = ingest_streams_with(
-            readers,
-            StreamOptions {
-                workers,
-                batch,
-                shards: 8,
-                recovery: Default::default(),
-            },
-        )
-        .expect("in-memory ingestion cannot fail");
-        prop_assert_eq!(streamed[0].counts, reference.counts);
-        prop_assert_eq!(&streamed[0].unique_indices, &reference.unique_indices);
-        prop_assert_eq!(&streamed[0].valid_queries, &reference.valid_queries);
+        let streamed = fused(std::slice::from_ref(&log), Population::Unique, workers, batch);
+        let summary = &streamed.summaries[0];
+        prop_assert_eq!(summary.counts, reference.counts);
+        prop_assert_eq!(&summary.errors, &reference.errors);
+        let mut distinct: Vec<u128> =
+            reference.unique_indices.iter().map(|&i| reference.fingerprints[i]).collect();
+        distinct.sort_unstable();
+        let streamed_distinct: Vec<u128> = summary.occurrences.iter().map(|&(fp, _)| fp).collect();
+        prop_assert_eq!(streamed_distinct, distinct);
     }
 }
 
 #[test]
 fn empty_log_streams_to_zero_counts() {
     let readers: Vec<Box<dyn LogReader>> = vec![Box::new(MemoryLogReader::new("empty", vec![]))];
-    let logs = ingest_streams(readers).unwrap();
+    let logs = analyze_streams(readers, Population::Unique)
+        .unwrap()
+        .summaries;
     assert_eq!(logs.len(), 1);
     assert_eq!(logs[0].label, "empty");
     assert_eq!(logs[0].counts.total, 0);
     assert_eq!(logs[0].counts.valid, 0);
     assert_eq!(logs[0].counts.unique, 0);
-    assert!(logs[0].valid_queries.is_empty());
-    assert!(logs[0].unique_indices.is_empty());
+    assert!(logs[0].occurrences.is_empty());
+    assert!(logs[0].errors.is_empty());
 }
 
 #[test]
@@ -119,7 +120,9 @@ fn line_reader_keeps_blank_lines_as_invalid_entries() {
         "blanks",
         Cursor::new(text.as_bytes().to_vec()),
     ))];
-    let logs = ingest_streams(readers).unwrap();
+    let logs = analyze_streams(readers, Population::Unique)
+        .unwrap()
+        .summaries;
     assert_eq!(logs[0].counts.total, 3);
     assert_eq!(logs[0].counts.valid, 2);
     assert_eq!(logs[0].counts.unique, 1);
@@ -137,7 +140,9 @@ fn file_reader_streams_a_log_from_disk() {
     .unwrap();
     let readers: Vec<Box<dyn LogReader>> =
         vec![Box::new(FileLogReader::open("disk", &path).unwrap())];
-    let logs = ingest_streams(readers).unwrap();
+    let logs = analyze_streams(readers, Population::Unique)
+        .unwrap()
+        .summaries;
     assert_eq!(logs[0].counts.total, 4);
     assert_eq!(logs[0].counts.valid, 3);
     assert_eq!(logs[0].counts.unique, 2); // whitespace variants collapse
@@ -182,42 +187,45 @@ fn file_reader_size_hint_estimates_from_metadata() {
 
 #[test]
 fn shard_boundary_duplicates_are_eliminated() {
-    // Duplicates must collapse regardless of shard count and batch size:
-    // equal fingerprints always land in the same shard, and batch boundaries
-    // must not reset the dedup state.
+    // Duplicates must collapse regardless of batch size and worker count:
+    // batch boundaries must not reset the dedup state, and two workers that
+    // both see a canonical form merge their occurrence counts.
     let entries: Vec<String> = (0..40)
         .map(|i| format!("SELECT ?x WHERE {{ ?x <http://p{}> ?y }}", i % 7))
         .collect();
     let log = RawLog::new("dups", entries);
     let reference = ingest(&log);
     assert_eq!(reference.counts.unique, 7);
-    for shards in [1, 2, 16, 128] {
+    for workers in [1, 2, 8] {
         for batch in [1, 3, 64] {
-            let readers: Vec<Box<dyn LogReader + '_>> =
-                vec![Box::new(SliceLogReader::of(&log)) as Box<dyn LogReader + '_>];
-            let streamed = ingest_streams_with(
-                readers,
-                StreamOptions {
-                    workers: 2,
-                    batch,
-                    shards,
-                    recovery: Default::default(),
-                },
-            )
-            .unwrap();
-            assert_eq!(
-                streamed[0].counts, reference.counts,
-                "shards {shards}, batch {batch}"
+            let streamed = fused(
+                std::slice::from_ref(&log),
+                Population::Unique,
+                workers,
+                batch,
             );
-            assert_eq!(streamed[0].unique_indices, reference.unique_indices);
+            let summary = &streamed.summaries[0];
+            assert_eq!(
+                summary.counts, reference.counts,
+                "workers {workers}, batch {batch}"
+            );
+            // 40 entries over 7 shapes: five occur 6 times, two occur 5.
+            let mut counts: Vec<u64> = summary.occurrences.iter().map(|&(_, c)| c).collect();
+            counts.sort_unstable();
+            assert_eq!(
+                counts,
+                [5, 5, 6, 6, 6, 6, 6],
+                "workers {workers}, batch {batch}"
+            );
         }
     }
 }
 
 #[test]
 fn fingerprint_shards_merge_is_commutative_across_logs() {
-    // Per-log shard sets combined in either order give the same corpus-wide
-    // distinct count — the merge the sharded design exists for.
+    // The analysis cache is partitioned into fingerprint-range shards;
+    // per-log caches combined in either order give the same corpus-wide
+    // distinct set — the merge the sharded design exists for.
     let a_entries: Vec<String> = (0..20)
         .map(|i| format!("SELECT ?x WHERE {{ ?x <http://a{}> ?y }}", i % 5))
         .collect();
@@ -225,20 +233,28 @@ fn fingerprint_shards_merge_is_commutative_across_logs() {
         .map(|i| format!("SELECT ?x WHERE {{ ?x <http://b{}> ?y }}", i % 3))
         .collect();
     let fill = |entries: &[String]| {
-        let mut shards = FingerprintShards::new(8);
-        for e in entries {
-            let q = parse_query(e).unwrap();
-            shards.insert(canonical_fingerprint_of(&q));
-        }
-        shards
+        let cache = AnalysisCache::with_shards(8);
+        let readers: Vec<Box<dyn LogReader>> =
+            vec![Box::new(MemoryLogReader::new("log", entries.to_vec()))];
+        sparqlog::core::analyze_streams_cached(
+            readers,
+            Population::Unique,
+            Default::default(),
+            &cache,
+        )
+        .unwrap();
+        cache
     };
-    let a = fill(&a_entries);
-    let b = fill(&b_entries);
-    let mut ab = a.clone();
-    ab.merge(b.clone());
-    let mut ba = b;
-    ba.merge(a);
+    let ab = fill(&a_entries);
+    ab.merge(fill(&b_entries));
+    let ba = fill(&b_entries);
+    ba.merge(fill(&a_entries));
     assert_eq!(ab.len(), 8); // 5 + 3 distinct shapes
     assert_eq!(ab.len(), ba.len());
-    assert_eq!(ab.max_shard_len(), ba.max_shard_len());
+    for entry in a_entries.iter().chain(&b_entries) {
+        let fingerprint = canonical_fingerprint_of(&parse_query(entry).unwrap());
+        let left = ab.get(fingerprint).expect("merged cache covers both logs");
+        let right = ba.get(fingerprint).expect("merge is commutative");
+        assert_eq!(format!("{left:?}"), format!("{right:?}"));
+    }
 }

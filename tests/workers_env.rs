@@ -1,10 +1,13 @@
-//! The `SPARQLOG_WORKERS` environment override honored by the ingestion and
-//! analysis pools — the hook the CI determinism matrix pins worker counts
-//! with. Kept in its own integration-test binary (and a single `#[test]`)
-//! because environment mutation is process-global.
+//! The `SPARQLOG_WORKERS` environment override: CI pins the fused engine's
+//! pool to 1/2/8 workers, and the report must not change with the pool it
+//! runs with. Kept in its own integration-test binary (and a single
+//! `#[test]`) because environment mutation is process-global.
 
-use sparqlog::core::analysis::{CorpusAnalysis, EngineOptions, Population};
-use sparqlog::core::corpus::{default_workers, ingest, ingest_all, RawLog};
+mod common;
+
+use common::{oracle, oracle_logs, slice_readers};
+use sparqlog::core::corpus::{analyze_streams, default_workers, RawLog};
+use sparqlog::core::Population;
 
 #[test]
 fn workers_env_override_pins_the_pools_without_changing_reports() {
@@ -25,33 +28,20 @@ fn workers_env_override_pins_the_pools_without_changing_reports() {
             .map(|i| format!("SELECT ?x WHERE {{ ?x <http://p{}> ?y }}", i % 40))
             .collect(),
     )];
-    let reference_ingest: Vec<_> = logs.iter().map(ingest).collect();
-    let reference = format!(
-        "{:?}",
-        CorpusAnalysis::analyze_with(
-            &reference_ingest,
-            Population::Unique,
-            EngineOptions {
-                recovery: Default::default(),
-                workers: 1,
-                chunk_size: 0,
-                ..EngineOptions::default()
-            },
-        )
-    );
+    let reference_ingest = oracle_logs(&logs);
+    let reference = format!("{:?}", oracle(&logs, Population::Unique));
     for workers in ["1", "2", "8"] {
         std::env::set_var("SPARQLOG_WORKERS", workers);
         assert_eq!(default_workers(), workers.parse::<usize>().unwrap());
-        let ingested = ingest_all(&logs);
-        for (a, b) in ingested.iter().zip(&reference_ingest) {
+        let run = analyze_streams(slice_readers(&logs), Population::Unique).unwrap();
+        for (a, b) in run.summaries.iter().zip(&reference_ingest) {
             assert_eq!(a.counts, b.counts, "SPARQLOG_WORKERS={workers}");
-            assert_eq!(a.unique_indices, b.unique_indices);
         }
-        let run = format!(
-            "{:?}",
-            CorpusAnalysis::analyze(&ingested, Population::Unique)
+        assert_eq!(
+            reference,
+            format!("{:?}", run.corpus),
+            "SPARQLOG_WORKERS={workers}"
         );
-        assert_eq!(reference, run, "SPARQLOG_WORKERS={workers}");
     }
     std::env::remove_var("SPARQLOG_WORKERS");
     assert!(default_workers() >= 1);
